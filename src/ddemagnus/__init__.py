@@ -9,7 +9,7 @@ analysis through the monodromy matrix.
 __version__ = "0.1.0"
 
 from .spectral import (ChebyshevGrid, OutOfRangeError, chebyshev_nodes,
-                       differentiation_matrix, interpolate, interpolate_window)
+                       differentiation_matrix, interpolate_window)
 from .linalg import (NumericalFailure, commutator, eigenvalues, expm,
                      sort_spectrum)
 from .magnus_linear import (LINEAR_ORDERS, MagnusConvergenceWarning,
@@ -18,8 +18,8 @@ from .magnus_nonlinear import (NONLINEAR_ORDERS, nonlinear_magnus_step,
                                structure_check)
 from .dde import (DiscretizedSystem, LinearDDEProblem, MonodromyResult,
                   QuasilinearDDEProblem, Trajectory, assemble_linear,
-                  assemble_quasilinear, discretize, mean_error, monodromy,
-                  solve, stability_verdict)
+                  assemble_quasilinear, discretize, monodromy, solve,
+                  stability_verdict)
 from .models import (BenchmarkProblem, MATHIEU_CRITICAL_B,
                      MATHIEU_REFERENCE_MULTIPLIER, builtin_problem,
                      example1_scalar_periodic, example2_delayed_mathieu,
@@ -27,14 +27,14 @@ from .models import (BenchmarkProblem, MATHIEU_CRITICAL_B,
 
 __all__ = [
     "ChebyshevGrid", "OutOfRangeError", "chebyshev_nodes",
-    "differentiation_matrix", "interpolate", "interpolate_window",
+    "differentiation_matrix", "interpolate_window",
     "NumericalFailure", "commutator", "eigenvalues", "expm", "sort_spectrum",
     "LINEAR_ORDERS", "MagnusConvergenceWarning", "magnus_step",
     "magnus_step_matrix", "NONLINEAR_ORDERS", "nonlinear_magnus_step",
     "structure_check", "DiscretizedSystem", "LinearDDEProblem",
     "MonodromyResult", "QuasilinearDDEProblem", "Trajectory",
-    "assemble_linear", "assemble_quasilinear", "discretize", "mean_error",
-    "monodromy", "solve", "stability_verdict", "BenchmarkProblem",
+    "assemble_linear", "assemble_quasilinear", "discretize", "monodromy",
+    "solve", "stability_verdict", "BenchmarkProblem",
     "MATHIEU_CRITICAL_B", "MATHIEU_REFERENCE_MULTIPLIER", "builtin_problem",
     "example1_scalar_periodic", "example2_delayed_mathieu",
     "example3_scalar_nonlinear", "example4_delayed_sir",

@@ -26,10 +26,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dde import LinearDDEProblem, monodromy, solve, stability_verdict
+from .dde import (LinearDDEProblem, admissible_orders, monodromy, solve,
+                  stability_verdict)
 from .linalg import NumericalFailure
-from .magnus_linear import LINEAR_ORDERS, MagnusConvergenceWarning
-from .magnus_nonlinear import NONLINEAR_ORDERS
+from .magnus_linear import MagnusConvergenceWarning
 from .models import builtin_problem
 
 EXIT_OK = 0
@@ -191,12 +191,10 @@ def _build_benchmark(cfg: RunConfig):
 
 
 def _fill_order(cfg: RunConfig, problem) -> None:
-    linear = isinstance(problem, LinearDDEProblem)
-    admissible = LINEAR_ORDERS if linear else NONLINEAR_ORDERS
+    kind, admissible = admissible_orders(problem)
     if cfg.order is None:
-        cfg.order = 6 if linear else 3
+        cfg.order = max(admissible)
     if cfg.order not in admissible:
-        kind = "linear" if linear else "quasilinear"
         raise ConfigError(
             f"field 'order': {cfg.order} invalid for {kind} problems; "
             f"admissible orders: {', '.join(str(o) for o in admissible)}")
@@ -503,10 +501,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MagnusConvergenceWarning as exc:
+    except (NumericalFailure, MagnusConvergenceWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

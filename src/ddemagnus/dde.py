@@ -96,57 +96,33 @@ def _coefficient(func, arg, d: int) -> np.ndarray:
     return M
 
 
-def _lower_rows(grid: ChebyshevGrid, d: int) -> np.ndarray:
-    """Rows d .. d(N+1)-1 of (2/tau) * (D kron I_d)."""
-    return np.kron(grid.scaled_diff_matrix, np.eye(d))[d:, :]
-
-
-def assemble_linear(problem: LinearDDEProblem, grid: ChebyshevGrid, t: float) -> np.ndarray:
-    """System matrix of the discretized linear DDE at time t.
-
-    First d rows: A(t) in the leading d x d block, B(t) in the trailing
-    one, zeros between.  Remaining rows: the scaled spectral
-    differentiation of the history window.
-    """
-    if grid.delay != problem.tau:
-        raise ValueError("grid delay does not match the problem delay")
-    d = problem.d
-    n = d * (grid.N + 1)
-    out = np.zeros((n, n))
-    out[d:, :] = _lower_rows(grid, d)
-    out[:d, :d] = _coefficient(problem.A, t, d)
-    out[:d, n - d:] = _coefficient(problem.B, t, d)
-    return out
-
-
-def assemble_quasilinear(problem: QuasilinearDDEProblem, grid: ChebyshevGrid,
-                         state: np.ndarray) -> np.ndarray:
-    """System matrix of the discretized quasilinear DDE for the given big state.
-
-    Only the last d components of the state (the fully delayed block)
-    enter the coefficients; the trailing upper block is zero.
-    """
-    if grid.delay != problem.tau:
-        raise ValueError("grid delay does not match the problem delay")
-    state = np.asarray(state, dtype=float)
-    d = problem.d
-    n = d * (grid.N + 1)
-    if state.shape != (n,):
-        raise ValueError(f"state has shape {state.shape}, expected ({n},)")
-    out = np.zeros((n, n))
-    out[d:, :] = _lower_rows(grid, d)
-    out[:d, :d] = _coefficient(problem.A, state[n - d:], d)
-    return out
+def admissible_orders(problem: DDEProblem):
+    """Problem kind and its integrator orders: ('linear', LINEAR_ORDERS) or
+    ('quasilinear', NONLINEAR_ORDERS)."""
+    if isinstance(problem, LinearDDEProblem):
+        return "linear", LINEAR_ORDERS
+    return "quasilinear", NONLINEAR_ORDERS
 
 
 @dataclass
 class DiscretizedSystem:
-    """A DDE problem sampled on a Chebyshev grid, ready for time stepping."""
+    """A DDE problem sampled on a Chebyshev grid, ready for time stepping.
+
+    Builds the constant rows (2/tau) * (D kron I_d) once.  ``phi_vector``
+    is the sampled initial function, None when the system only assembles.
+    """
 
     problem: DDEProblem
     grid: ChebyshevGrid
-    phi_vector: np.ndarray
-    _base: np.ndarray = field(repr=False, default=None)
+    phi_vector: Optional[np.ndarray] = None
+    _base: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.grid.delay != self.problem.tau:
+            raise ValueError("grid delay does not match the problem delay")
+        d, n = self.d, self.big_dim
+        self._base = np.zeros((n, n))
+        self._base[d:, :] = np.kron(self.grid.scaled_diff_matrix, np.eye(d))[d:, :]
 
     @property
     def d(self) -> int:
@@ -155,10 +131,6 @@ class DiscretizedSystem:
     @property
     def big_dim(self) -> int:
         return self.problem.d * (self.grid.N + 1)
-
-    @property
-    def is_linear(self) -> bool:
-        return isinstance(self.problem, LinearDDEProblem)
 
     def matrix_at(self, t: float) -> np.ndarray:
         """Assembled system matrix at time t (linear problems)."""
@@ -175,8 +147,43 @@ class DiscretizedSystem:
         out[:d, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d)
         return out
 
-    def evaluator(self):
-        return self.matrix_at if self.is_linear else self.matrix_of_state
+    def stepper(self, order: int, state: np.ndarray):
+        """Step function ``(t, h, state) -> state`` of the given order for ``state``.
+
+        Linear problems step ``matrix_at`` with the vector scheme, or with
+        its matrix form for a 2-D ``state`` (fundamental matrices);
+        quasilinear problems step ``matrix_of_state``.
+        """
+        if not isinstance(self.problem, LinearDDEProblem):
+            A, d = self.matrix_of_state, self.d
+            return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, structure_dim=d)
+        A = self.matrix_at
+        step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
+        return lambda t, h, y: step(A, t, h, y, order)
+
+
+def assemble_linear(problem: LinearDDEProblem, grid: ChebyshevGrid, t: float) -> np.ndarray:
+    """System matrix of the discretized linear DDE at time t.
+
+    First d rows: A(t) in the leading d x d block, B(t) in the trailing
+    one, zeros between.  Remaining rows: the scaled spectral
+    differentiation of the history window.
+    """
+    return DiscretizedSystem(problem, grid).matrix_at(t)
+
+
+def assemble_quasilinear(problem: QuasilinearDDEProblem, grid: ChebyshevGrid,
+                         state: np.ndarray) -> np.ndarray:
+    """System matrix of the discretized quasilinear DDE for the given big state.
+
+    Only the last d components of the state (the fully delayed block)
+    enter the coefficients; the trailing upper block is zero.
+    """
+    system = DiscretizedSystem(problem, grid)
+    state = np.asarray(state, dtype=float)
+    if state.shape != (system.big_dim,):
+        raise ValueError(f"state has shape {state.shape}, expected ({system.big_dim},)")
+    return system.matrix_of_state(state)
 
 
 def discretize(problem: DDEProblem, N: int) -> DiscretizedSystem:
@@ -189,24 +196,7 @@ def discretize(problem: DDEProblem, N: int) -> DiscretizedSystem:
         if not np.isfinite(value).all():
             raise ValueError(f"initial function returned a non-finite value at t = {theta}")
         blocks.append(value)
-    base = np.zeros((d * (N + 1), d * (N + 1)))
-    base[d:, :] = _lower_rows(grid, d)
-    return DiscretizedSystem(problem=problem, grid=grid,
-                             phi_vector=np.concatenate(blocks), _base=base)
-
-
-def _plan_intervals(span: float, tau: float, M: int):
-    """Split a time span into whole delay intervals plus a trailing partial one.
-
-    Returns (full_count, partial_steps, partial_fraction); partial_steps
-    is 0 when the span snaps onto a multiple of tau.
-    """
-    ratio = span / tau
-    n_full = int(math.floor(ratio + BREAKPOINT_SNAP))
-    frac = ratio - n_full
-    if frac <= BREAKPOINT_SNAP:
-        return n_full, 0, 0.0
-    return n_full, int(math.ceil(M * frac)), frac
+    return DiscretizedSystem(problem, grid, np.concatenate(blocks))
 
 
 @dataclass
@@ -258,53 +248,66 @@ class Trajectory:
         ``reference`` maps a time to the exact length-d value (or a
         scalar for d = 1); ``component`` picks the compared entry inside
         each block, e.g. 0 for the position of a second-order system.
+        The error is averaged over all N+1 nodes of the window.
         """
-        return _window_mean_error(self.states[index], reference,
-                                  float(self.times[index]), self.grid, component)
+        blocks = np.asarray(self.states[index], dtype=float).reshape(self.grid.N + 1, -1)
+        if not 0 <= component < blocks.shape[1]:
+            raise ValueError(f"component {component} out of range for block size {blocks.shape[1]}")
+        window_end = float(self.times[index])
+        total = 0.0
+        for theta, block in zip(self.grid.nodes_shifted, blocks):
+            ref = np.atleast_1d(np.asarray(reference(window_end + theta), dtype=float))
+            total += abs(ref[component] - block[component])
+        return total / (self.grid.N + 1)
 
 
-def _window_mean_error(values, reference, window_end, grid, component) -> float:
-    blocks = np.asarray(values, dtype=float).reshape(grid.N + 1, -1)
-    if not 0 <= component < blocks.shape[1]:
-        raise ValueError(f"component {component} out of range for block size {blocks.shape[1]}")
-    total = 0.0
-    for theta, block in zip(grid.nodes_shifted, blocks):
-        ref = np.atleast_1d(np.asarray(reference(window_end + theta), dtype=float))
-        total += abs(ref[component] - block[component])
-    return total / (grid.N + 1)
+def _interval_plan(first: int, t_final: float, tau: float, M: int) -> list:
+    """(index, t0, length, t_end, steps) of each delay interval from first * tau
+    to t_final, with the step counts described in :func:`solve`."""
+    if M < 1:
+        raise ValueError("M (steps per delay interval) must be >= 1")
+    ratio = (t_final - first * tau) / tau
+    n_full = int(math.floor(ratio + BREAKPOINT_SNAP))
+    plan = [(g, g * tau, tau, (g + 1) * tau, M) for g in range(first, first + n_full)]
+    frac = ratio - n_full
+    if frac > BREAKPOINT_SNAP:
+        g = first + n_full
+        plan.append((g, g * tau, t_final - g * tau, t_final, int(math.ceil(M * frac))))
+    if not plan:
+        raise ValueError("end time is indistinguishable from the start time "
+                         "(closer than the breaking-point snap tolerance)")
+    return plan
 
 
-def mean_error(values, reference, interval_index: int, grid: ChebyshevGrid,
-               component: int = 0) -> float:
-    """Mean absolute per-node error of one stored window.
+def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
+               steps: Optional[list] = None) -> list:
+    """Advance a vector or matrix state across the planned intervals.
 
-    ``values`` is the state whose window ends at interval_index * tau;
-    the error is averaged over all N+1 nodes of the selected component.
+    Returns the state at each interval end.  When ``steps`` is a list,
+    each interval appends to it a bucket of (time, state) pairs, one per
+    step.  A coefficient or exponential that rejects its input (wrong
+    shape, non-finite entries) and a non-finite result both raise
+    NumericalFailure with the interval and step.
     """
-    return _window_mean_error(values, reference, interval_index * grid.delay,
-                              grid, component)
-
-
-def _admissible_orders(problem: DDEProblem):
-    return LINEAR_ORDERS if isinstance(problem, LinearDDEProblem) else NONLINEAR_ORDERS
-
-
-def _run_interval(evaluator, is_linear, state, t0, length, n_steps, order,
-                  interval_index, step_store, structure_dim):
-    h = length / n_steps
-    for k in range(n_steps):
-        if is_linear:
-            state = magnus_step(evaluator, t0 + k * h, h, state, order)
-        else:
-            state = nonlinear_magnus_step(evaluator, h, state, order,
-                                          structure_dim=structure_dim)
-        if not np.isfinite(state).all():
-            raise NumericalFailure(
-                f"non-finite state in interval {interval_index}, step {k}",
-                interval=interval_index, step=k, partial=state)
-        if step_store is not None:
-            step_store.append((t0 + (k + 1) * h, state.copy()))
-    return state
+    step = system.stepper(order, state)
+    ends = []
+    for g, t0, length, _, n_steps in plan:
+        h = length / n_steps
+        if steps is not None:
+            steps.append([])
+        for k in range(n_steps):
+            try:
+                state = step(t0 + k * h, h, state)
+            except ValueError as exc:
+                raise NumericalFailure(f"{exc} in interval {g}, step {k}",
+                                       interval=g, step=k, partial=state) from exc
+            if not np.isfinite(state).all():
+                raise NumericalFailure(f"non-finite state in interval {g}, step {k}",
+                                       interval=g, step=k, partial=state)
+            if steps is not None:
+                steps[-1].append((t0 + (k + 1) * h, state.copy()))
+        ends.append(state)
+    return ends
 
 
 def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
@@ -323,12 +326,9 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     window at a multiple of tau; by default the run starts at 0 from the
     sampled initial function.
     """
-    orders = _admissible_orders(problem)
+    kind, orders = admissible_orders(problem)
     if order not in orders:
-        kind = "linear" if isinstance(problem, LinearDDEProblem) else "quasilinear"
         raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
-    if M < 1:
-        raise ValueError("M (steps per delay interval) must be >= 1")
     system = discretize(problem, N)
     tau = problem.tau
     g0 = int(round(t_start / tau))
@@ -342,41 +342,13 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
         state = np.asarray(initial_state, dtype=float).copy()
         if state.shape != (system.big_dim,):
             raise ValueError(f"initial_state must have shape ({system.big_dim},)")
-    span = t_final - g0 * tau
-    if span <= 0:
+    if t_final <= g0 * tau:
         raise ValueError("t_final must lie beyond t_start")
 
-    n_full, m_part, frac = _plan_intervals(span, tau, M)
-    if n_full == 0 and m_part == 0:
-        raise ValueError("t_final is indistinguishable from t_start "
-                         "(closer than the breaking-point snap tolerance)")
-    evaluator = system.evaluator()
-    is_linear = system.is_linear
-    structure_dim = None if is_linear else problem.d
-
-    times = [g0 * tau]
-    states = [state.copy()]
+    plan = _interval_plan(g0, t_final, tau, M)
     steps = [] if store_steps else None
-    for i in range(n_full):
-        g = g0 + i
-        bucket = [] if store_steps else None
-        state = _run_interval(evaluator, is_linear, state, g * tau, tau, M,
-                              order, g, bucket, structure_dim)
-        if store_steps:
-            steps.append(bucket)
-        times.append((g + 1) * tau)
-        states.append(state.copy())
-    if m_part:
-        g = g0 + n_full
-        bucket = [] if store_steps else None
-        state = _run_interval(evaluator, is_linear, state, g * tau,
-                              t_final - g * tau, m_part, order, g, bucket,
-                              structure_dim)
-        if store_steps:
-            steps.append(bucket)
-        times.append(t_final)
-        states.append(state.copy())
-
+    states = [state] + _propagate(system, order, state, plan, steps)
+    times = [g0 * tau] + [t_end for _, _, _, t_end, _ in plan]
     return Trajectory(grid=system.grid, d=problem.d, order=order, M=M,
                       problem=problem.describe(), times=np.asarray(times),
                       states=states, steps=steps)
@@ -405,39 +377,21 @@ class MonodromyResult:
 def monodromy(problem: LinearDDEProblem, N: int, M: int, order: int) -> MonodromyResult:
     """Propagate Y' = A_N(t) Y, Y(0) = I over one period and take eigenvalues.
 
-    All d(N+1) columns are advanced together with the matrix form of the
-    Magnus step; interval boundaries align with multiples of tau (and
-    with the period itself when it is not a multiple).
+    All d(N+1) columns are advanced together through the same interval
+    plan and propagator as :func:`solve`: interval boundaries align with
+    multiples of tau (and with the period itself when it is not a
+    multiple).
     """
     if not isinstance(problem, LinearDDEProblem):
         raise ValueError("monodromy analysis needs a linear problem")
     if problem.period is None:
         raise ValueError("problem has no period set")
-    if order not in LINEAR_ORDERS:
-        raise ValueError(f"order {order} invalid; admissible: {LINEAR_ORDERS}")
-    if M < 1:
-        raise ValueError("M (steps per delay interval) must be >= 1")
+    _, orders = admissible_orders(problem)
+    if order not in orders:
+        raise ValueError(f"order {order} invalid; admissible: {orders}")
     system = discretize(problem, N)
-    tau = problem.tau
-    T = problem.period
-    n_full, m_part, frac = _plan_intervals(T, tau, M)
-    Y = np.eye(system.big_dim)
-    evaluator = system.matrix_at
-
-    def advance(Y, t0, length, n_steps, interval_index):
-        h = length / n_steps
-        for k in range(n_steps):
-            Y = magnus_step_matrix(evaluator, t0 + k * h, h, Y, order)
-            if not np.isfinite(Y).all():
-                raise NumericalFailure(
-                    f"non-finite fundamental matrix in interval {interval_index}, step {k}",
-                    interval=interval_index, step=k, partial=Y)
-        return Y
-
-    for i in range(n_full):
-        Y = advance(Y, i * tau, tau, M, i)
-    if m_part:
-        Y = advance(Y, n_full * tau, T - n_full * tau, m_part, n_full)
+    plan = _interval_plan(0, problem.period, problem.tau, M)
+    Y = _propagate(system, order, np.eye(system.big_dim), plan)[-1]
     return MonodromyResult(monodromy=Y, multipliers=eigenvalues(Y),
                            N=N, M=M, order=order)
 

@@ -78,7 +78,7 @@ class ChebyshevGrid:
         shifted window the derivative operator is (2/tau) * diff_matrix.
     bary_weights : ndarray, shape (N+1,)
         Barycentric weights (-1)^j * delta_j with delta halved at the
-        endpoints; used by :func:`interpolate`.
+        endpoints; used by :func:`interpolate_window`.
 
     All arrays are marked read-only, so a grid can be shared freely
     across threads once built.
@@ -115,24 +115,12 @@ class ChebyshevGrid:
         return (2.0 / self.delay) * self.diff_matrix
 
 
-def interpolate(values: np.ndarray, grid: ChebyshevGrid, interval_index: int,
-                t: float) -> np.ndarray:
-    """Evaluate a block state vector between its collocation nodes.
-
-    ``values`` has length d*(N+1) with block j holding the d-vector
-    sample at abscissa ``interval_index * tau + theta_j``; the
-    interpolant is therefore defined on the window
-    ``[interval_index*tau - tau, interval_index*tau]`` and no
-    extrapolation is performed outside it.
-    """
-    if interval_index < 0:
-        raise ValueError("interval_index must be >= 0")
-    return interpolate_window(values, grid, interval_index * grid.delay, t)
-
-
 def interpolate_window(values: np.ndarray, grid: ChebyshevGrid,
                        window_end: float, t: float) -> np.ndarray:
     """Barycentric evaluation of a state vector whose window ends at ``window_end``.
+
+    Block j of ``values`` is the d-vector sample at ``window_end + theta_j``;
+    there is no extrapolation outside [window_end - tau, window_end].
 
     Uses the second (true) barycentric form with Chebyshev weights, which
     costs O(N) per evaluation and is backward stable.  When t coincides

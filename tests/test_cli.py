@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ddemagnus
 from ddemagnus.cli import main
 
 
@@ -225,6 +231,21 @@ def test_numerical_failure_exit_code(capsys):
     assert code == 1
     assert "numerical failure" in err
     assert "interval 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["multipliers", "--problem", "mathieu", "--param", "epsilon=nan"],
+    ["solve", "--problem", "sir", "--t-final", "2", "--param", "beta=inf"],
+])
+def test_nonfinite_coefficient_is_a_numerical_failure(argv):
+    src = str(Path(ddemagnus.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "ignore", "-m", "ddemagnus", *argv,
+                           "--N", "6", "--M", "4"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("numerical failure")
+    assert "interval 0, step 0" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_version_and_help_exit():

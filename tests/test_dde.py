@@ -4,9 +4,9 @@ import pytest
 from ddemagnus import (ChebyshevGrid, LinearDDEProblem, NumericalFailure,
                        OutOfRangeError, QuasilinearDDEProblem, assemble_linear,
                        assemble_quasilinear, builtin_problem, discretize,
-                       eigenvalues, expm, magnus_step, mean_error, monodromy,
-                       solve, stability_verdict, structure_check)
-from ddemagnus.dde import MonodromyResult
+                       eigenvalues, expm, magnus_step, monodromy, solve,
+                       stability_verdict, structure_check)
+from ddemagnus.dde import MonodromyResult, Trajectory
 
 SQRT2 = np.sqrt(2.0)
 
@@ -196,6 +196,50 @@ def test_solve_argument_validation():
         solve(bench.problem, 8, 4, 2, 2.0, t_start=bench.problem.tau)
 
 
+def nan_after(t_bad, period=None):
+    # x' = -x(t - 1) + 0.1 sin(t) x, with A turning NaN for t > t_bad
+    return LinearDDEProblem(
+        d=1, tau=1.0,
+        A=lambda t: np.array([[0.1 * np.sin(t) if t <= t_bad else np.nan]]),
+        B=lambda t: np.array([[-1.0]]),
+        phi=lambda t: np.array([1.0]), period=period)
+
+
+def test_nonfinite_coefficient_reports_location():
+    # steps of 0.25 in interval 1: the step from t = 1.5 is the first to
+    # sample A beyond 1.5
+    for run in (lambda p: solve(p, 6, 4, 6, 3.0),
+                lambda p: monodromy(p, 6, 4, 6)):
+        with pytest.raises(NumericalFailure) as info:
+            run(nan_after(1.5, period=3.0))
+        assert (info.value.interval, info.value.step) == (1, 2)
+        assert "interval 1, step 2" in str(info.value)
+
+
+def test_wrong_shaped_coefficient_reports_location():
+    prob = LinearDDEProblem(d=1, tau=1.0,
+                            A=lambda t: np.zeros((1, 1) if t < 1.0 else (2, 2)),
+                            B=lambda t: np.array([[-1.0]]),
+                            phi=lambda t: np.array([1.0]))
+    with pytest.raises(NumericalFailure) as info:
+        solve(prob, 6, 4, 2, 2.0)
+    assert (info.value.interval, info.value.step) == (1, 0)
+    assert "shape" in str(info.value)
+
+
+def test_monodromy_matches_solve_over_partial_period():
+    # period 2.5 = two whole delay intervals plus a half one: both drivers
+    # walk the same plan, so Y(T) phi equals the solution state at T
+    prob = LinearDDEProblem(
+        d=2, tau=1.0,
+        A=lambda t: np.array([[0.0, 1.0], [-1.0 - 0.5 * np.cos(0.8 * np.pi * t), -0.1]]),
+        B=lambda t: np.array([[0.0, 0.0], [0.3 * np.sin(0.8 * np.pi * t), 0.0]]),
+        phi=lambda t: np.array([np.cos(t), -np.sin(t)]), period=2.5)
+    propagated = monodromy(prob, 10, 8, 6).monodromy @ discretize(prob, 10).phi_vector
+    final = solve(prob, 10, 8, 6, 2.5).final_state
+    assert np.abs(propagated - final).max() <= 1e-12 * np.abs(final).max()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_reports_numerical_failure_location():
     prob = scalar_linear(2000.0, 0.0, 1.0)
@@ -251,6 +295,12 @@ def test_stability_verdict_cases():
         stability_verdict(_result_with([1.0]), -1.0)
 
 
+def window(values, grid, window_end):
+    """A one-window Trajectory holding ``values`` on [window_end - tau, window_end]."""
+    return Trajectory(grid=grid, d=len(values) // (grid.N + 1), order=2, M=1,
+                      problem="", times=np.array([window_end]), states=[values])
+
+
 def test_mean_error_basics():
     grid = ChebyshevGrid.build(6, 1.0)
     values = np.linspace(-1.0, 2.0, 7)
@@ -261,9 +311,9 @@ def test_mean_error_basics():
         j = int(np.argmin(np.abs(1.0 + grid.nodes_shifted - t)))
         return np.array([values[j]])
 
-    assert mean_error(values, self_reference, 1, grid) == 0.0
+    assert window(values, grid, 1.0).mean_error(self_reference) == 0.0
     offset = lambda t: np.array([self_reference(t)[0] + 0.25])
-    assert mean_error(values, offset, 1, grid) == pytest.approx(0.25, rel=1e-13)
+    assert window(values, grid, 1.0).mean_error(offset) == pytest.approx(0.25, rel=1e-13)
 
 
 def test_mean_error_order_ratio_between_refinements():
@@ -280,10 +330,10 @@ def test_mean_error_component_selection():
     times = 2.0 + grid.nodes_shifted
     values = np.column_stack([np.sin(times), np.cos(times)]).ravel()
     reference = lambda t: np.array([np.sin(t), np.cos(t) + 0.125])
-    assert mean_error(values, reference, 2, grid, component=0) <= 1e-15
-    assert mean_error(values, reference, 2, grid, component=1) == pytest.approx(0.125)
+    assert window(values, grid, 2.0).mean_error(reference, component=0) <= 1e-15
+    assert window(values, grid, 2.0).mean_error(reference, component=1) == pytest.approx(0.125)
     with pytest.raises(ValueError):
-        mean_error(values, reference, 2, grid, component=2)
+        window(values, grid, 2.0).mean_error(reference, component=2)
 
 
 def test_solve_quasilinear_tracks_exact_orbit():

@@ -85,6 +85,27 @@ def test_convergence_guard_warns_but_computes():
     assert np.isfinite(got).all()
 
 
+def test_order4_guard_warns_on_stiff_step():
+    def A(t):
+        return np.array([[0.0, 10.0 + t], [-10.0 - t, 0.0]])
+
+    with pytest.warns(MagnusConvergenceWarning):
+        got = magnus_step(A, 0.0, 1.0, np.array([1.0, 0.0]), 4)
+    assert np.isfinite(got).all()
+
+
+def test_order4_step_evaluates_coefficient_twice():
+    # the two Gauss points feed both the exponent and the convergence guard
+    calls = []
+
+    def A(t):
+        calls.append(t)
+        return np.array([[0.0, 1.0 + t], [-1.0, 0.0]])
+
+    magnus_step(A, 0.0, 0.1, np.array([1.0, 0.0]), 4)
+    assert len(calls) == 2
+
+
 def test_no_warning_inside_bound():
     import warnings
 

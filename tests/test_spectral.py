@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddemagnus import (ChebyshevGrid, OutOfRangeError, chebyshev_nodes,
-                       differentiation_matrix, interpolate)
+                       differentiation_matrix, interpolate_window)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -93,7 +93,7 @@ def test_interpolate_hits_nodes_exactly():
     for i in (0, 3):
         for j in (0, 4, 9):
             t = i * grid.delay + grid.nodes_shifted[j]
-            got = interpolate(values, grid, i, t)
+            got = interpolate_window(values, grid, i * grid.delay, t)
             np.testing.assert_array_equal(got, values.reshape(10, 2)[j])
 
 
@@ -101,7 +101,7 @@ def test_interpolate_constant_everywhere():
     grid = ChebyshevGrid.build(11, 0.9)
     values = np.full(12, 3.25)
     for t in np.linspace(-0.9, 0.0, 17):
-        np.testing.assert_allclose(interpolate(values, grid, 0, t), [3.25],
+        np.testing.assert_allclose(interpolate_window(values, grid, 0.0, t), [3.25],
                                    rtol=1e-14)
 
 
@@ -111,7 +111,7 @@ def test_interpolate_sin_between_nodes():
     i = 1
     values = np.sin(i * tau + grid.nodes_shifted)
     t = i * tau - tau / 3.0
-    got = interpolate(values, grid, i, t)
+    got = interpolate_window(values, grid, i * grid.delay, t)
     assert abs(got[0] - np.sin(t)) <= 1e-12
 
 
@@ -124,7 +124,7 @@ def test_interpolate_reproduces_polynomials(N):
     scale = np.abs(values).max()
     for t in rng.uniform(-1.7, 0.0, 100):
         s = 2.0 * t / 1.7 + 1.0
-        got = interpolate(values, grid, 0, t)
+        got = interpolate_window(values, grid, 0.0, t)
         assert abs(got[0] - p(s)) <= 1e-10 * (1.0 + scale)
 
 
@@ -132,10 +132,8 @@ def test_interpolate_rejects_extrapolation():
     grid = ChebyshevGrid.build(6, 1.0)
     values = np.zeros(7)
     with pytest.raises(OutOfRangeError):
-        interpolate(values, grid, 1, 1.5)
+        interpolate_window(values, grid, 1.0, 1.5)
     with pytest.raises(OutOfRangeError):
-        interpolate(values, grid, 1, -0.5)
+        interpolate_window(values, grid, 1.0, -0.5)
     with pytest.raises(ValueError):
-        interpolate(np.zeros(8), grid, 0, -0.5)  # not a block multiple
-    with pytest.raises(ValueError):
-        interpolate(values, grid, -1, -0.5)
+        interpolate_window(np.zeros(8), grid, 0.0, -0.5)  # not a block multiple
