@@ -249,11 +249,15 @@ def _header_pairs(cfg: RunConfig, extra=()):
     return pairs
 
 
-def _write_csv(cfg: RunConfig, header_pairs, columns, rows) -> None:
+def _format_rows(rows) -> list:
+    return [",".join(_fmt(cell) for cell in row) for row in rows]
+
+
+def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
+    """Write the header block, the column line and the already formatted ``body`` lines."""
     lines = [f"# {key} = {value}" for key, value in header_pairs]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    lines.extend(body)
     text = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as handle:
@@ -262,17 +266,21 @@ def _write_csv(cfg: RunConfig, header_pairs, columns, rows) -> None:
         sys.stdout.write(text)
 
 
-def _solve_rows(trajectory):
-    """CSV rows (interval, node_index, time, component_index, value)."""
+# One solve row; renders exactly as _format_rows does (ints, then %.17g floats).
+_SOLVE_ROW = "%d,%d,%.17g,%d,%.17g"
+
+
+def _solve_lines(trajectory):
+    """CSV lines (interval, node_index, time, component_index, value)."""
     d = trajectory.d
     theta = trajectory.grid.nodes_shifted
-    rows = []
+    lines = []
 
     def emit(interval, window_end, state):
-        blocks = state.reshape(len(theta), d)
-        for j, t_node in enumerate(window_end + theta):
-            for c in range(d):
-                rows.append((interval, j, float(t_node), c, float(blocks[j, c])))
+        blocks = state.reshape(len(theta), d).tolist()
+        for j, (t_node, block) in enumerate(zip((window_end + theta).tolist(), blocks)):
+            for c, value in enumerate(block):
+                lines.append(_SOLVE_ROW % (interval, j, t_node, c, value))
 
     if trajectory.steps is not None:
         for k, bucket in enumerate(trajectory.steps, start=1):
@@ -281,7 +289,7 @@ def _solve_rows(trajectory):
     else:
         for k in range(1, len(trajectory.times)):
             emit(k, float(trajectory.times[k]), trajectory.states[k])
-    return rows
+    return lines
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -295,7 +303,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                                         _fmt((cfg.N + 1) * bench.problem.d))])
     _write_csv(cfg, header,
                ["interval", "node_index", "time", "component_index", "value"],
-               _solve_rows(trajectory))
+               _solve_lines(trajectory))
     return EXIT_OK
 
 
@@ -324,7 +332,7 @@ def cmd_multipliers(cfg: RunConfig) -> int:
     ])
     rows = [(rank, float(mu.real), float(mu.imag), float(abs(mu)))
             for rank, mu in enumerate(result.multipliers, start=1)]
-    _write_csv(cfg, header, ["rank", "re", "im", "modulus"], rows)
+    _write_csv(cfg, header, ["rank", "re", "im", "modulus"], _format_rows(rows))
     if cfg.out:
         print(f"stability: {verdict} (dominant modulus {dominant:.17g})")
     return EXIT_OK
@@ -406,7 +414,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     overall = fitted_order(points, errors, cfg.slope_floor)
     header = _header_pairs(cfg, extra=[("metric", metric),
                                        ("fitted_order", _fmt(overall))])
-    _write_csv(cfg, header, [label, "error", "local_order"], rows)
+    _write_csv(cfg, header, [label, "error", "local_order"], _format_rows(rows))
     return EXIT_OK
 
 
@@ -431,7 +439,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     _write_csv(cfg, header,
                ["interval", "end_time", "mean_total_error",
                 "boundary_total_error", "min_component"],
-               rows)
+               _format_rows(rows))
     return EXIT_OK
 
 

@@ -35,8 +35,12 @@ class LinearDDEProblem:
 
     ``A`` and ``B`` map a time to a (d, d) array, ``phi`` maps a time in
     [-tau, 0] to a length-d array (a scalar is fine for d = 1).  ``period``
-    marks the problem as T-periodic for Floquet analysis; periodicity of
-    the coefficients is the caller's assertion and is not checked.
+    marks the problem as T-periodic for Floquet analysis.  When it is a
+    whole number of delays, :func:`solve` also reuses each step
+    exponential of the first period in the later ones; A and B are then
+    compared at the start of every reused interval and one period
+    earlier, and a mismatch fails the solve.  Periodicity is otherwise
+    the caller's assertion.
     """
 
     d: int
@@ -147,11 +151,12 @@ class DiscretizedSystem:
         out[:d, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d)
         return out
 
-    def stepper(self, order: int, state: np.ndarray):
+    def stepper(self, order: int, state: np.ndarray, memo: Optional[dict] = None):
         """Step function ``(t, h, state) -> state`` of the given order for ``state``.
 
         Linear problems step ``matrix_at`` with the vector scheme, or with
-        its matrix form for a 2-D ``state`` (fundamental matrices);
+        its matrix form for a 2-D ``state`` (fundamental matrices), and
+        keep their step exponentials in ``memo`` when one is given;
         quasilinear problems step ``matrix_of_state``.
         """
         if not isinstance(self.problem, LinearDDEProblem):
@@ -159,7 +164,20 @@ class DiscretizedSystem:
             return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, structure_dim=d)
         A = self.matrix_at
         step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
-        return lambda t, h, y: step(A, t, h, y, order)
+        return lambda t, h, y: step(A, t, h, y, order, memo=memo)
+
+    def check_period(self, t: float, phase: float) -> None:
+        """Raise ValueError unless A and B agree at t and at ``phase``, the
+        time a whole number of periods earlier (linear problems)."""
+        for name in ("A", "B"):
+            coeff = getattr(self.problem, name)
+            now = _coefficient(coeff, t, self.d)
+            then = _coefficient(coeff, phase, self.d)
+            gap = float(np.abs(now - then).max())
+            if not gap <= 1e-9 * (1.0 + max(np.abs(now).max(), np.abs(then).max())):
+                raise ValueError(f"{name} at t = {t!r} differs by {gap:.3g} from {name} at "
+                                 f"t = {phase!r}: period {self.problem.period!r} is not a "
+                                 f"period of the coefficients")
 
 
 def assemble_linear(problem: LinearDDEProblem, grid: ChebyshevGrid, t: float) -> np.ndarray:
@@ -261,18 +279,29 @@ class Trajectory:
         return total / (self.grid.N + 1)
 
 
-def _interval_plan(first: int, t_final: float, tau: float, M: int) -> list:
-    """(index, t0, length, t_end, steps) of each delay interval from first * tau
-    to t_final, with the step counts described in :func:`solve`."""
+def _interval_plan(first: int, t_final: float, tau: float, M: int,
+                   period: Optional[float] = None) -> list:
+    """(index, t0, length, t_end, steps, phase) of each delay interval from
+    first * tau to t_final, with the step counts described in :func:`solve`.
+
+    ``phase`` is None unless the interval shares its step exponentials:
+    when ``period`` is p >= 1 whole delays and the full intervals revisit a
+    phase, full interval g takes the steps of interval g mod p, and
+    ``phase`` is its reduced start (g mod p) * tau.  For g < p that is the
+    same float as ``t0``.
+    """
     if M < 1:
         raise ValueError("M (steps per delay interval) must be >= 1")
     ratio = (t_final - first * tau) / tau
     n_full = int(math.floor(ratio + BREAKPOINT_SNAP))
-    plan = [(g, g * tau, tau, (g + 1) * tau, M) for g in range(first, first + n_full)]
+    p = round(period / tau) if period is not None else 0
+    shared = p >= 1 and abs(period - p * tau) <= 1e-12 * period and n_full > p
+    plan = [(g, g * tau, tau, (g + 1) * tau, M, (g % p) * tau if shared else None)
+            for g in range(first, first + n_full)]
     frac = ratio - n_full
     if frac > BREAKPOINT_SNAP:
         g = first + n_full
-        plan.append((g, g * tau, t_final - g * tau, t_final, int(math.ceil(M * frac))))
+        plan.append((g, g * tau, t_final - g * tau, t_final, int(math.ceil(M * frac)), None))
     if not plan:
         raise ValueError("end time is indistinguishable from the start time "
                          "(closer than the breaking-point snap tolerance)")
@@ -285,27 +314,34 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
 
     Returns the state at each interval end.  When ``steps`` is a list,
     each interval appends to it a bucket of (time, state) pairs, one per
-    step.  A coefficient or exponential that rejects its input (wrong
-    shape, non-finite entries) and a non-finite result both raise
-    NumericalFailure with the interval and step.
+    step.  Intervals with a ``phase`` step at their reduced times through
+    one exponential memo, after a spot check of the period at their
+    start.  A coefficient or exponential that rejects its input (wrong
+    shape, non-finite entries), a failed spot check and a non-finite
+    result all raise NumericalFailure with the interval and step.
     """
     step = system.stepper(order, state)
+    shared = system.stepper(order, state, memo={})
     ends = []
-    for g, t0, length, _, n_steps in plan:
+    for g, t0, length, _, n_steps, phase in plan:
         h = length / n_steps
+        advance, start = (step, t0) if phase is None else (shared, phase)
         if steps is not None:
             steps.append([])
-        for k in range(n_steps):
-            try:
-                state = step(t0 + k * h, h, state)
-            except ValueError as exc:
-                raise NumericalFailure(f"{exc} in interval {g}, step {k}",
-                                       interval=g, step=k, partial=state) from exc
-            if not np.isfinite(state).all():
-                raise NumericalFailure(f"non-finite state in interval {g}, step {k}",
-                                       interval=g, step=k, partial=state)
-            if steps is not None:
-                steps[-1].append((t0 + (k + 1) * h, state.copy()))
+        k = 0
+        try:
+            if start != t0:
+                system.check_period(t0, start)
+            for k in range(n_steps):
+                state = advance(start + k * h, h, state)
+                if not np.isfinite(state).all():
+                    raise NumericalFailure(f"non-finite state in interval {g}, step {k}",
+                                           interval=g, step=k, partial=state)
+                if steps is not None:
+                    steps[-1].append((t0 + (k + 1) * h, state))
+        except ValueError as exc:
+            raise NumericalFailure(f"{exc} in interval {g}, step {k}",
+                                   interval=g, step=k, partial=state) from exc
         ends.append(state)
     return ends
 
@@ -320,7 +356,9 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     quasilinear ones), chaining the final state of one interval into the
     next.  If t_final is not a multiple of tau, the trailing partial
     interval of fractional length ``frac`` is covered by ceil(M * frac)
-    equal steps ending exactly at t_final.
+    equal steps ending exactly at t_final.  A linear problem whose period
+    is a whole number of delays reuses the step exponentials of its first
+    period in every later full interval (see :func:`_interval_plan`).
 
     ``t_start``/``initial_state`` resume an integration from a stored
     window at a multiple of tau; by default the run starts at 0 from the
@@ -345,10 +383,10 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     if t_final <= g0 * tau:
         raise ValueError("t_final must lie beyond t_start")
 
-    plan = _interval_plan(g0, t_final, tau, M)
+    plan = _interval_plan(g0, t_final, tau, M, problem.period if kind == "linear" else None)
     steps = [] if store_steps else None
     states = [state] + _propagate(system, order, state, plan, steps)
-    times = [g0 * tau] + [t_end for _, _, _, t_end, _ in plan]
+    times = [g0 * tau] + [t_end for _, _, _, t_end, *_ in plan]
     return Trajectory(grid=system.grid, d=problem.d, order=order, M=M,
                       problem=problem.describe(), times=np.asarray(times),
                       states=states, steps=steps)

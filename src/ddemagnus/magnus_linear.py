@@ -76,7 +76,7 @@ def _omega(A, t: float, h: float, order: int) -> np.ndarray:
     raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
 
 
-def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
+def magnus_step(A, t: float, h: float, y, order: int, *, memo=None) -> np.ndarray:
     """Advance y' = A(t) y from (t, y) to t + h with the order-2p Magnus scheme.
 
     Parameters
@@ -89,11 +89,20 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
         State at time t.
     order : {2, 4, 6}
         Convergence order of the scheme; the local error is O(h^(order+1)).
+    memo : dict, optional
+        Step exponentials keyed by ``(t, h)``: a hit reuses the stored
+        exp(Omega) without evaluating A, a miss computes and stores it.
+        One dict must serve a single A and order.
     """
-    return expm(_omega(A, t, h, order)) @ np.asarray(y, dtype=float)
+    exponential = None if memo is None else memo.get((t, h))
+    if exponential is None:
+        exponential = expm(_omega(A, t, h, order))
+        if memo is not None:
+            memo[(t, h)] = exponential
+    return exponential @ np.asarray(y, dtype=float)
 
 
-def magnus_step_matrix(A, t: float, h: float, Y, order: int) -> np.ndarray:
+def magnus_step_matrix(A, t: float, h: float, Y, order: int, *, memo=None) -> np.ndarray:
     """Matrix-valued variant of :func:`magnus_step` for Y' = A(t) Y.
 
     Used to propagate fundamental matrices (e.g. all columns of a
@@ -101,4 +110,4 @@ def magnus_step_matrix(A, t: float, h: float, Y, order: int) -> np.ndarray:
     """
     if np.ndim(Y) != 2:
         raise ValueError("Y must be a matrix")
-    return magnus_step(A, t, h, Y, order)
+    return magnus_step(A, t, h, Y, order, memo=memo)

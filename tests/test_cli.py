@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import ddemagnus
-from ddemagnus.cli import main
+from ddemagnus import ChebyshevGrid
+from ddemagnus.cli import _SOLVE_ROW, _format_rows, _solve_lines, main
+from ddemagnus.dde import Trajectory
 
 
 def run_cli(args, capsys):
@@ -84,6 +86,21 @@ def test_solve_store_steps_emits_every_step(tmp_path, capsys):
     assert code == 0
     _, _, rows = parse_csv(out.read_text())
     assert len(rows) == 3 * 5  # three steps, N+1 nodes each
+
+
+def test_solve_rows_render_as_the_generic_formatter():
+    rows = [(1, 0, -0.0, 0, float("nan")), (12, 20, float("inf"), 1, 1e-300),
+            (3, 7, -2.5, 0, float("-inf")), (0, 1, 0.1, 2, -1e-300)]
+    assert [_SOLVE_ROW % row for row in rows] == _format_rows(rows)
+    grid = ChebyshevGrid.build(2, 1.0)
+    states = [np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+              np.array([-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300])]
+    traj = Trajectory(grid=grid, d=2, order=2, M=1, problem="", times=np.array([0.0, -1.5]),
+                      states=states)
+    expected = _format_rows(
+        (1, j, float(-1.5 + theta), c, float(states[1][2 * j + c]))
+        for j, theta in enumerate(grid.nodes_shifted) for c in range(2))
+    assert _solve_lines(traj) == expected
 
 
 def test_multipliers_output(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,49 @@ def test_monodromy_matches_solve_over_partial_period():
     propagated = monodromy(prob, 10, 8, 6).monodromy @ discretize(prob, 10).phi_vector
     final = solve(prob, 10, 8, 6, 2.5).final_state
     assert np.abs(propagated - final).max() <= 1e-12 * np.abs(final).max()
+
+
+@pytest.mark.parametrize("name, N, M, t_final", [
+    ("example1", 12, 16, 3 * 2 * np.pi + 0.3 * np.pi),   # 3 periods plus a partial interval
+    ("mathieu", 8, 8, 3 * 2 * np.pi),                    # p = 1: three delays
+])
+def test_periodic_reuse_matches_uncached_solve(name, N, M, t_final):
+    problem = builtin_problem(name).problem
+    reused = solve(problem, N, M, 6, t_final, store_steps=True)
+    direct = solve(dataclasses.replace(problem, period=None), N, M, 6, t_final,
+                   store_steps=True)
+    pairs = [(a, b) for ra, rb in zip(reused.steps, direct.steps) for a, b in zip(ra, rb)]
+    assert len(pairs) == sum(len(bucket) for bucket in direct.steps)
+    for (t_a, state_a), (t_b, state_b) in pairs:
+        assert t_a == t_b
+        assert np.abs(state_a - state_b).max() <= 1e-12 * np.abs(state_b).max()
+
+
+def test_periodic_reuse_evaluates_first_period_only():
+    bench = builtin_problem("example1")
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return bench.problem.A(t)
+
+    problem = dataclasses.replace(bench.problem, A=counted)
+    counts = []
+    for periods in (1, 10):
+        calls.clear()
+        solve(problem, 8, 8, 6, periods * problem.period)
+        counts.append(len(calls))
+    assert counts[1] < 2 * counts[0]
+
+
+def test_wrong_period_fails_the_spot_check():
+    # example1 is 2*pi-periodic; a period of pi (two delays) is caught at
+    # the first reused interval, where A(pi) = -1 differs from A(0) = 1
+    problem = dataclasses.replace(builtin_problem("example1").problem, period=math.pi)
+    with pytest.raises(NumericalFailure) as info:
+        solve(problem, 8, 8, 6, 4 * math.pi)
+    assert (info.value.interval, info.value.step) == (2, 0)
+    assert "period 3.14159" in str(info.value)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

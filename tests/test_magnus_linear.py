@@ -106,6 +106,25 @@ def test_order4_step_evaluates_coefficient_twice():
     assert len(calls) == 2
 
 
+def test_memo_reuses_the_exponential_of_a_step():
+    calls = []
+
+    def A(t):
+        calls.append(t)
+        return np.array([[0.0, 1.0 + t], [-1.0, 0.0]])
+
+    memo = {}
+    y = np.array([1.0, 0.5])
+    first = magnus_step(A, 0.2, 0.1, y, 6, memo=memo)
+    assert len(calls) == 3 and list(memo) == [(0.2, 0.1)]
+    assert np.array_equal(first, magnus_step(A, 0.2, 0.1, y, 6))
+    calls.clear()
+    again = magnus_step_matrix(A, 0.2, 0.1, np.eye(2), 6, memo=memo)
+    assert not calls
+    assert np.array_equal(again, memo[(0.2, 0.1)])
+    assert np.array_equal(again @ y, first)
+
+
 def test_no_warning_inside_bound():
     import warnings
 
