@@ -207,7 +207,7 @@ def _validate_common(cfg: RunConfig) -> None:
         raise ConfigError("field 'M': must be >= 1")
     if cfg.jobs < 1:
         raise ConfigError("field 'jobs': must be >= 1")
-    if cfg.stability_tol < 0:
+    if not cfg.stability_tol >= 0:
         raise ConfigError("field 'stability_tol': must be >= 0")
 
 
@@ -216,15 +216,17 @@ def _resolve_horizon(cfg: RunConfig, problem, *, need_time: bool) -> Optional[fl
     if cfg.t_final is not None and cfg.periods is not None:
         raise ConfigError("fields 't_final'/'periods': give exactly one of them")
     if cfg.t_final is not None:
-        if cfg.t_final <= 0:
-            raise ConfigError("field 't_final': must be positive")
+        if not 0 < cfg.t_final < math.inf:
+            raise ConfigError("field 't_final': must be positive and finite")
         return cfg.t_final
     if cfg.periods is not None:
-        if cfg.periods <= 0:
-            raise ConfigError("field 'periods': must be positive")
+        if not 0 < cfg.periods < math.inf:
+            raise ConfigError("field 'periods': must be positive and finite")
         period = getattr(problem, "period", None)
         if period is None:
             raise ConfigError("field 'periods': problem has no period")
+        if not math.isfinite(cfg.periods * period):
+            raise ConfigError("field 'periods': horizon periods * period overflows")
         return cfg.periods * period
     if need_time:
         raise ConfigError("fields 't_final'/'periods': one of them is required")
@@ -268,19 +270,30 @@ def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
 
 # One solve row; renders exactly as _format_rows does (ints, then %.17g floats).
 _SOLVE_ROW = "%d,%d,%.17g,%d,%.17g"
+# The same row with node index j and component c filled in: "%d,j,%.17g,c,%.17g".
+_WINDOW_ROW = "%%d,%d,%%.17g,%d,%%.17g"
 
 
 def _solve_lines(trajectory):
-    """CSV lines (interval, node_index, time, component_index, value)."""
+    """CSV text of each stored window: rows (interval, node_index, time,
+    component_index, value) joined by newlines.
+
+    One ``%`` template covers a whole window, with the node and
+    component indices written into it, so a window is one format call
+    on its (interval, time, value) triples.
+    """
     d = trajectory.d
-    theta = trajectory.grid.nodes_shifted
+    theta = np.repeat(trajectory.grid.nodes_shifted, d)
+    template = "\n".join(_WINDOW_ROW % (j, c)
+                         for j in range(len(theta) // d) for c in range(d))
+    triples = [None] * (3 * len(theta))
     lines = []
 
     def emit(interval, window_end, state):
-        blocks = state.reshape(len(theta), d).tolist()
-        for j, (t_node, block) in enumerate(zip((window_end + theta).tolist(), blocks)):
-            for c, value in enumerate(block):
-                lines.append(_SOLVE_ROW % (interval, j, t_node, c, value))
+        triples[0::3] = [interval] * len(theta)
+        triples[1::3] = (window_end + theta).tolist()
+        triples[2::3] = state.tolist()
+        lines.append(template % tuple(triples))
 
     if trajectory.steps is not None:
         for k, bucket in enumerate(trajectory.steps, start=1):
@@ -316,8 +329,8 @@ def cmd_multipliers(cfg: RunConfig) -> int:
     if cfg.t_final is not None:
         raise ConfigError("field 't_final': multipliers use --periods, not --t-final")
     periods = cfg.periods if cfg.periods is not None else 1.0
-    if periods <= 0:
-        raise ConfigError("field 'periods': must be positive")
+    if not 0 < periods < math.inf:
+        raise ConfigError("field 'periods': must be positive and finite")
     if bench.problem.period is None:
         raise ConfigError("field 'problem': problem has no period")
     problem = bench.problem

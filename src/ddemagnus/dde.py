@@ -20,7 +20,8 @@ import numpy as np
 
 from .linalg import NumericalFailure, eigenvalues
 from .magnus_linear import LINEAR_ORDERS, magnus_step, magnus_step_matrix
-from .magnus_nonlinear import NONLINEAR_ORDERS, nonlinear_magnus_step
+from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv,
+                               nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
 
 # t_final within this fraction of tau of a breaking point snaps onto it,
@@ -93,10 +94,12 @@ class QuasilinearDDEProblem:
 DDEProblem = Union[LinearDDEProblem, QuasilinearDDEProblem]
 
 
-def _coefficient(func, arg, d: int) -> np.ndarray:
+def _coefficient(func, arg, d: int, name: str) -> np.ndarray:
     M = np.asarray(func(arg), dtype=float)
     if M.shape != (d, d):
-        raise ValueError(f"coefficient evaluator returned shape {M.shape}, expected {(d, d)}")
+        raise ValueError(f"coefficient {name} returned shape {M.shape}, expected {(d, d)}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"coefficient {name} returned non-finite entries")
     return M
 
 
@@ -140,15 +143,15 @@ class DiscretizedSystem:
         """Assembled system matrix at time t (linear problems)."""
         d, n = self.d, self.big_dim
         out = self._base.copy()
-        out[:d, :d] = _coefficient(self.problem.A, t, d)
-        out[:d, n - d:] = _coefficient(self.problem.B, t, d)
+        out[:d, :d] = _coefficient(self.problem.A, t, d, "A")
+        out[:d, n - d:] = _coefficient(self.problem.B, t, d, "B")
         return out
 
     def matrix_of_state(self, state: np.ndarray) -> np.ndarray:
         """Assembled system matrix for a big state vector (quasilinear problems)."""
         d, n = self.d, self.big_dim
         out = self._base.copy()
-        out[:d, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d)
+        out[:d, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d, "A(x)")
         return out
 
     def stepper(self, order: int, state: np.ndarray, memo: Optional[dict] = None):
@@ -157,11 +160,13 @@ class DiscretizedSystem:
         Linear problems step ``matrix_at`` with the vector scheme, or with
         its matrix form for a 2-D ``state`` (fundamental matrices), and
         keep their step exponentials in ``memo`` when one is given;
-        quasilinear problems step ``matrix_of_state``.
+        quasilinear problems step ``matrix_of_state`` and apply every
+        exponential through one :class:`BlockTriangularExpmv` of the
+        constant rows.
         """
         if not isinstance(self.problem, LinearDDEProblem):
-            A, d = self.matrix_of_state, self.d
-            return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, structure_dim=d)
+            A, expmv = self.matrix_of_state, BlockTriangularExpmv(self._base[self.d:], self.d)
+            return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
         A = self.matrix_at
         step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
         return lambda t, h, y: step(A, t, h, y, order, memo=memo)
@@ -171,8 +176,8 @@ class DiscretizedSystem:
         time a whole number of periods earlier (linear problems)."""
         for name in ("A", "B"):
             coeff = getattr(self.problem, name)
-            now = _coefficient(coeff, t, self.d)
-            then = _coefficient(coeff, phase, self.d)
+            now = _coefficient(coeff, t, self.d, name)
+            then = _coefficient(coeff, phase, self.d, name)
             gap = float(np.abs(now - then).max())
             if not gap <= 1e-9 * (1.0 + max(np.abs(now).max(), np.abs(then).max())):
                 raise ValueError(f"{name} at t = {t!r} differs by {gap:.3g} from {name} at "
@@ -367,6 +372,8 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     kind, orders = admissible_orders(problem)
     if order not in orders:
         raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final!r}")
     system = discretize(problem, N)
     tau = problem.tau
     g0 = int(round(t_start / tau))
@@ -440,8 +447,8 @@ def stability_verdict(result: MonodromyResult, tol: float = 0.0) -> str:
     Stable iff every multiplier has modulus below 1 - tol, unstable iff
     the dominant one exceeds 1 + tol, marginal in between.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     dominant = float(np.abs(result.multipliers).max())
     if dominant < 1.0 - tol:
         return "stable"

@@ -78,6 +78,36 @@ def test_solve_requires_exactly_one_horizon(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["solve", "--problem", "example1", "--t-final", "nan"], "t_final"),
+    (["solve", "--problem", "example1", "--t-final", "inf"], "t_final"),
+    (["solve", "--problem", "example1", "--periods", "inf"], "periods"),
+    (["solve", "--problem", "example1", "--periods", "nan"], "periods"),
+    (["solve", "--problem", "example1", "--periods", "1e308"], "periods"),
+    (["audit", "--problem", "sir", "--t-final", "nan"], "t_final"),
+    (["convergence", "--problem", "example1", "--M-list", "4,8", "--t-final", "inf"],
+     "t_final"),
+])
+def test_nonfinite_horizon_is_a_usage_error(capsys, argv, field):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"field '{field}'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_multipliers_rejects_nonfinite_periods(capsys, value):
+    code, _, err = run_cli(["multipliers", "--problem", "example1", "--N", "4",
+                            "--M", "4", "--periods", value], capsys)
+    assert code == 2 and "field 'periods'" in err
+
+
+def test_nan_stability_tolerance_is_a_usage_error(capsys):
+    code, out, err = run_cli(["multipliers", "--problem", "example1", "--N", "4",
+                              "--M", "4", "--stability-tol", "nan"], capsys)
+    assert code == 2 and "field 'stability_tol'" in err
+    assert "stability_verdict" not in out
+
+
 def test_solve_store_steps_emits_every_step(tmp_path, capsys):
     out = tmp_path / "steps.csv"
     code, _, _ = run_cli(["solve", "--problem", "example1", "--N", "4",
@@ -100,7 +130,7 @@ def test_solve_rows_render_as_the_generic_formatter():
     expected = _format_rows(
         (1, j, float(-1.5 + theta), c, float(states[1][2 * j + c]))
         for j, theta in enumerate(grid.nodes_shifted) for c in range(2))
-    assert _solve_lines(traj) == expected
+    assert "\n".join(_solve_lines(traj)) == "\n".join(expected)
 
 
 def test_multipliers_output(tmp_path, capsys):

@@ -219,6 +219,27 @@ def test_nonfinite_coefficient_reports_location():
         assert "interval 1, step 2" in str(info.value)
 
 
+def test_nonfinite_quasilinear_coefficient_reports_location():
+    # x' = -x(t - 1) x from x = 1: x(t) = exp(-t) on [0, 1], and A(x) turns
+    # NaN once the delayed state drops below 0.5, i.e. past t = 1 + log 2;
+    # order 2 at h = 0.25 first evaluates A there inside step 2 of interval 1
+    prob = QuasilinearDDEProblem(
+        d=1, tau=1.0, A=lambda x: np.array([[-x[0] if x[0] >= 0.5 else np.nan]]),
+        phi=lambda t: np.array([1.0]))
+    with pytest.raises(NumericalFailure) as info:
+        solve(prob, 6, 4, 2, 3.0)
+    assert (info.value.interval, info.value.step) == (1, 2)
+    assert "coefficient A(x) returned non-finite entries" in str(info.value)
+    assert "interval 1, step 2" in str(info.value)
+
+
+def test_nonfinite_t_final_is_rejected():
+    bench = builtin_problem("example1")
+    for t_final in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            solve(bench.problem, 8, 4, 2, t_final)
+
+
 def test_wrong_shaped_coefficient_reports_location():
     prob = LinearDDEProblem(d=1, tau=1.0,
                             A=lambda t: np.zeros((1, 1) if t < 1.0 else (2, 2)),
@@ -339,6 +360,8 @@ def test_stability_verdict_cases():
     assert stability_verdict(_result_with([1.0 + 5e-10, 0.2]), 1e-6) == "marginal"
     with pytest.raises(ValueError):
         stability_verdict(_result_with([1.0]), -1.0)
+    with pytest.raises(ValueError):
+        stability_verdict(_result_with([1.0]), math.nan)
 
 
 def window(values, grid, window_end):
