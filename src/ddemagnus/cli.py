@@ -19,7 +19,6 @@ import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -53,7 +52,6 @@ class RunConfig:
     periods: Optional[float] = None
     out: Optional[str] = None
     store_steps: bool = False
-    jobs: int = 1
     warn_as_error: bool = False
     stability_tol: float = 1e-9
     m_list: Optional[list] = None
@@ -99,7 +97,8 @@ def read_config_file(path: str):
     values = {}
     params = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"field 'config': cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
@@ -118,62 +117,52 @@ def read_config_file(path: str):
     return values, params
 
 
-_INT_KEYS = {"N", "M", "order", "jobs"}
-_FLOAT_KEYS = {"t_final", "periods", "stability_tol", "slope_floor"}
-_BOOL_KEYS = {"store_steps", "warn_as_error"}
-_LIST_KEYS = {"m_list", "n_list"}
-
-
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
-        if key in _LIST_KEYS:
-            return _parse_int_list(value)
-    except ValueError as exc:
-        raise ConfigError(f"field {key!r}: cannot parse {value!r}") from exc
-    return value
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
 
 
 def _parse_int_list(text: str):
     try:
         items = [int(part) for part in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list from {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"cannot parse integer list from {text!r}") from exc
     if not items or any(v < 1 for v in items):
-        raise ConfigError(f"integer list must contain positive values: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"integer list must contain positive values: {text!r}")
     return items
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and command line (later wins)."""
+def resolve_config(args: argparse.Namespace, options: dict) -> RunConfig:
+    """Merge defaults, config file and command line (later wins).
+
+    ``options`` maps each configuration key to its parser action; a
+    config-file value is converted by that action's ``type`` (or as a
+    true/false word for a flag that takes no value).
+    """
     cfg = RunConfig(command=args.command)
     params = {}
-    if getattr(args, "config", None):
-        file_values, file_params = read_config_file(args.config)
-        for key, value in file_values.items():
-            if not hasattr(cfg, key) or key in ("command", "params"):
+    if args.config:
+        file_values, params = read_config_file(args.config)
+        for key, text in file_values.items():
+            action = options.get(key)
+            if action is None:
                 raise ConfigError(f"field {key!r}: unknown configuration key")
-            setattr(cfg, key, _coerce(key, value))
-        params.update(file_params)
-    for key in ("problem", "N", "M", "order", "t_final", "periods", "out",
-                "store_steps", "jobs", "warn_as_error", "stability_tol",
-                "m_list", "n_list", "slope_floor"):
+            convert = _parse_bool if action.nargs == 0 else action.type or str
+            try:
+                setattr(cfg, key, convert(text))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"field {key!r}: cannot parse {text!r}") from exc
+    for key in options:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    for item in getattr(args, "param", None) or []:
+    for item in args.param or []:
         key, value = _parse_param_item(item)
         params[key] = value
     cfg.params = params
@@ -205,13 +194,23 @@ def _validate_common(cfg: RunConfig) -> None:
         raise ConfigError("field 'N': must be >= 1")
     if cfg.M < 1:
         raise ConfigError("field 'M': must be >= 1")
-    if cfg.jobs < 1:
-        raise ConfigError("field 'jobs': must be >= 1")
     if not cfg.stability_tol >= 0:
         raise ConfigError("field 'stability_tol': must be >= 0")
 
 
-def _resolve_horizon(cfg: RunConfig, problem, *, need_time: bool) -> Optional[float]:
+def _stretched(problem, periods: float):
+    """``problem`` with its period stretched to ``periods`` periods."""
+    if not 0 < periods < math.inf:
+        raise ConfigError("field 'periods': must be positive and finite")
+    period = getattr(problem, "period", None)
+    if period is None:
+        raise ConfigError("field 'periods': problem has no period")
+    if not math.isfinite(periods * period):
+        raise ConfigError("field 'periods': horizon periods * period overflows")
+    return replace(problem, period=periods * period)
+
+
+def _resolve_horizon(cfg: RunConfig, problem) -> float:
     """Enforce 'exactly one of t_final / periods' and return the horizon."""
     if cfg.t_final is not None and cfg.periods is not None:
         raise ConfigError("fields 't_final'/'periods': give exactly one of them")
@@ -220,17 +219,8 @@ def _resolve_horizon(cfg: RunConfig, problem, *, need_time: bool) -> Optional[fl
             raise ConfigError("field 't_final': must be positive and finite")
         return cfg.t_final
     if cfg.periods is not None:
-        if not 0 < cfg.periods < math.inf:
-            raise ConfigError("field 'periods': must be positive and finite")
-        period = getattr(problem, "period", None)
-        if period is None:
-            raise ConfigError("field 'periods': problem has no period")
-        if not math.isfinite(cfg.periods * period):
-            raise ConfigError("field 'periods': horizon periods * period overflows")
-        return cfg.periods * period
-    if need_time:
-        raise ConfigError("fields 't_final'/'periods': one of them is required")
-    return None
+        return _stretched(problem, cfg.periods).period
+    raise ConfigError("fields 't_final'/'periods': one of them is required")
 
 
 def _header_pairs(cfg: RunConfig, extra=()):
@@ -238,15 +228,11 @@ def _header_pairs(cfg: RunConfig, extra=()):
              ("problem", cfg.problem)]
     for key in sorted(cfg.params):
         pairs.append((f"param.{key}", _fmt(cfg.params[key])))
-    for key in ("N", "M", "order", "t_final", "periods", "jobs",
-                "store_steps", "warn_as_error", "stability_tol"):
+    for key in ("N", "M", "order", "t_final", "periods", "store_steps",
+                "warn_as_error", "stability_tol", "m_list", "n_list"):
         value = getattr(cfg, key)
         if value is not None:
             pairs.append((key, _fmt(value)))
-    if cfg.m_list is not None:
-        pairs.append(("m_list", _fmt(cfg.m_list)))
-    if cfg.n_list is not None:
-        pairs.append(("n_list", _fmt(cfg.n_list)))
     pairs.extend(extra)
     return pairs
 
@@ -305,11 +291,8 @@ def _solve_lines(trajectory):
     return lines
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    bench = _build_benchmark(cfg)
-    _fill_order(cfg, bench.problem)
-    _validate_common(cfg)
-    horizon = _resolve_horizon(cfg, bench.problem, need_time=True)
+def cmd_solve(cfg: RunConfig, bench) -> int:
+    horizon = _resolve_horizon(cfg, bench.problem)
     trajectory = solve(bench.problem, cfg.N, cfg.M, cfg.order, horizon,
                        store_steps=cfg.store_steps)
     header = _header_pairs(cfg, extra=[("columns_per_interval",
@@ -320,22 +303,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_multipliers(cfg: RunConfig) -> int:
-    bench = _build_benchmark(cfg)
-    _fill_order(cfg, bench.problem)
-    _validate_common(cfg)
+def cmd_multipliers(cfg: RunConfig, bench) -> int:
     if not isinstance(bench.problem, LinearDDEProblem):
         raise ConfigError("field 'problem': multipliers need a linear periodic problem")
     if cfg.t_final is not None:
         raise ConfigError("field 't_final': multipliers use --periods, not --t-final")
-    periods = cfg.periods if cfg.periods is not None else 1.0
-    if not 0 < periods < math.inf:
-        raise ConfigError("field 'periods': must be positive and finite")
-    if bench.problem.period is None:
-        raise ConfigError("field 'problem': problem has no period")
-    problem = bench.problem
-    if periods != 1.0:
-        problem = replace(problem, period=periods * problem.period)
+    problem = _stretched(bench.problem, 1.0 if cfg.periods is None else cfg.periods)
     result = monodromy(problem, cfg.N, cfg.M, cfg.order)
     verdict = stability_verdict(result, cfg.stability_tol)
     dominant = abs(result.dominant)
@@ -367,24 +340,7 @@ def fitted_order(values, errors, floor: float = 0.0):
     return -float(slope)
 
 
-def _study_error(bench, cfg: RunConfig, N: int, M: int, horizon, metric: str) -> float:
-    if metric == "multiplier":
-        problem = bench.problem
-        if cfg.periods is not None and cfg.periods != 1.0:
-            problem = replace(problem, period=cfg.periods * problem.period)
-        result = monodromy(problem, N, M, cfg.order)
-        # track the dominant multiplier against the reference; at coarse M
-        # some other branch can sit accidentally closer to the reference,
-        # which would hide the scheme's convergence order
-        return float(abs(result.dominant - bench.reference_multiplier))
-    trajectory = solve(bench.problem, N, M, cfg.order, horizon)
-    return float(trajectory.mean_error(bench.exact))
-
-
-def cmd_convergence(cfg: RunConfig) -> int:
-    bench = _build_benchmark(cfg)
-    _fill_order(cfg, bench.problem)
-    _validate_common(cfg)
+def cmd_convergence(cfg: RunConfig, bench) -> int:
     if (cfg.m_list is None) == (cfg.n_list is None):
         raise ConfigError("fields 'M-list'/'N-list': give exactly one of them")
     if cfg.periods is not None:
@@ -392,14 +348,25 @@ def cmd_convergence(cfg: RunConfig) -> int:
             raise ConfigError("field 'periods': multiplier study needs a linear problem")
         if bench.reference_multiplier is None:
             raise ConfigError("field 'problem': no reference multiplier available")
-        metric = "multiplier"
-        horizon = None
+        metric, problem = "multiplier", _stretched(bench.problem, cfg.periods)
+
+        def error(N, M):
+            # track the dominant multiplier against the reference; at coarse M
+            # some other branch can sit accidentally closer to the reference,
+            # which would hide the scheme's convergence order
+            result = monodromy(problem, N, M, cfg.order)
+            return float(abs(result.dominant - bench.reference_multiplier))
     else:
         if bench.exact is None:
             raise ConfigError("field 'problem': no exact solution available; "
                               "use --periods with a reference multiplier instead")
-        metric = "solution"
-        horizon = _resolve_horizon(cfg, bench.problem, need_time=True)
+        metric, horizon = "solution", _resolve_horizon(cfg, bench.problem)
+
+        def error(N, M):
+            trajectory = solve(bench.problem, N, M, cfg.order, horizon)
+            return float(trajectory.mean_error(bench.exact))
+    if not math.isfinite(cfg.slope_floor):
+        raise ConfigError("field 'slope_floor': must be finite")
 
     if cfg.m_list is not None:
         label, points = "M", sorted(cfg.m_list)
@@ -407,15 +374,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     else:
         label, points = "N", sorted(cfg.n_list)
         runs = [(N, cfg.M) for N in points]
-
-    def run(pair):
-        return _study_error(bench, cfg, pair[0], pair[1], horizon, metric)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            errors = list(pool.map(run, runs))
-    else:
-        errors = [run(pair) for pair in runs]
+    errors = [error(N, M) for N, M in runs]
 
     rows = []
     for i, (point, err) in enumerate(zip(points, errors)):
@@ -431,14 +390,11 @@ def cmd_convergence(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_audit(cfg: RunConfig) -> int:
-    bench = _build_benchmark(cfg)
-    _fill_order(cfg, bench.problem)
-    _validate_common(cfg)
+def cmd_audit(cfg: RunConfig, bench) -> int:
     if bench.conserved_total is None:
         raise ConfigError("field 'problem': conservation audit needs a "
                           "population-conserving model (e.g. sir)")
-    horizon = _resolve_horizon(cfg, bench.problem, need_time=True)
+    horizon = _resolve_horizon(cfg, bench.problem)
     trajectory = solve(bench.problem, cfg.N, cfg.M, cfg.order, horizon)
     total = bench.conserved_total
     d = trajectory.d
@@ -464,31 +420,33 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argument parser, and the parser action of each configuration key."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", help="builtin problem name "
-                        "(example1, mathieu, nonlinear-scalar, sir)")
-    common.add_argument("--N", type=int, help="collocation intervals (N+1 nodes)")
-    common.add_argument("--M", type=int, help="Magnus steps per delay interval")
-    common.add_argument("--order", type=int,
-                        help="integrator order: 2/4/6 linear, 2/3 quasilinear")
-    common.add_argument("--t-final", dest="t_final", type=float,
-                        help="integration horizon (exclusive with --periods)")
-    common.add_argument("--periods", type=float,
-                        help="horizon as a multiple of the problem period")
-    common.add_argument("--param", action="append", metavar="KEY=VALUE",
-                        help="problem parameter override (repeatable)")
-    common.add_argument("--out", help="output CSV path (default: stdout)")
-    common.add_argument("--store-steps", dest="store_steps", action="store_true",
-                        default=None, help="emit every Magnus step, not just "
-                        "interval endpoints")
-    common.add_argument("--config", help="key = value file mirroring these flags")
-    common.add_argument("--jobs", type=int, help="worker threads for sweeps")
-    common.add_argument("--warn-as-error", dest="warn_as_error",
-                        action="store_true", default=None,
-                        help="escalate Magnus convergence warnings to failures")
-    common.add_argument("--stability-tol", dest="stability_tol", type=float,
-                        help="half-width of the marginal band around |mu| = 1")
+    actions = [
+        common.add_argument("--problem", help="builtin problem name "
+                            "(example1, mathieu, nonlinear-scalar, sir)"),
+        common.add_argument("--N", type=int, help="collocation intervals (N+1 nodes)"),
+        common.add_argument("--M", type=int, help="Magnus steps per delay interval"),
+        common.add_argument("--order", type=int,
+                            help="integrator order: 2/4/6 linear, 2/3 quasilinear"),
+        common.add_argument("--t-final", dest="t_final", type=float,
+                            help="integration horizon (exclusive with --periods)"),
+        common.add_argument("--periods", type=float,
+                            help="horizon as a multiple of the problem period"),
+        common.add_argument("--param", action="append", metavar="KEY=VALUE",
+                            help="problem parameter override (repeatable)"),
+        common.add_argument("--out", help="output CSV path (default: stdout)"),
+        common.add_argument("--store-steps", dest="store_steps", action="store_true",
+                            default=None, help="emit every Magnus step, not just "
+                            "interval endpoints"),
+        common.add_argument("--config", help="key = value file mirroring these flags"),
+        common.add_argument("--warn-as-error", dest="warn_as_error",
+                            action="store_true", default=None,
+                            help="escalate Magnus convergence warnings to failures"),
+        common.add_argument("--stability-tol", dest="stability_tol", type=float,
+                            help="half-width of the marginal band around |mu| = 1"),
+    ]
 
     parser = argparse.ArgumentParser(
         prog="ddemagnus",
@@ -500,25 +458,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="characteristic multipliers and stability verdict")
     conv = sub.add_parser("convergence", parents=[common],
                           help="error table against M or N")
-    conv.add_argument("--M-list", dest="m_list", type=_parse_int_list,
-                      help="comma-separated step counts, e.g. 4,8,16,32")
-    conv.add_argument("--N-list", dest="n_list", type=_parse_int_list,
-                      help="comma-separated node counts")
-    conv.add_argument("--slope-floor", dest="slope_floor", type=float,
-                      help="ignore errors at/below this value when fitting")
+    actions += [
+        conv.add_argument("--M-list", dest="m_list", type=_parse_int_list,
+                          help="comma-separated step counts, e.g. 4,8,16,32"),
+        conv.add_argument("--N-list", dest="n_list", type=_parse_int_list,
+                          help="comma-separated node counts"),
+        conv.add_argument("--slope-floor", dest="slope_floor", type=float,
+                          help="ignore errors at/below this value when fitting"),
+    ]
     sub.add_parser("audit", parents=[common],
                    help="per-interval conservation and positivity report")
-    return parser
+    return parser, {action.dest: action for action in actions
+                    if action.dest not in ("param", "config")}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, options = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if cfg.warn_as_error:
-            warnings.simplefilter("error", MagnusConvergenceWarning)
-        return _COMMANDS[args.command](cfg)
+        cfg = resolve_config(args, options)
+        bench = _build_benchmark(cfg)
+        _fill_order(cfg, bench.problem)
+        _validate_common(cfg)
+        with warnings.catch_warnings():
+            if cfg.warn_as_error:
+                warnings.simplefilter("error", MagnusConvergenceWarning)
+            return _COMMANDS[cfg.command](cfg, bench)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

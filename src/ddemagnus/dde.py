@@ -30,6 +30,12 @@ from .spectral import ChebyshevGrid, interpolate_window
 BREAKPOINT_SNAP = 1e-4
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    # a bare `value <= 0` test would let NaN and inf through
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive" if value <= 0 else f"{name} must be finite")
+
+
 @dataclass
 class LinearDDEProblem:
     """x'(t) = A(t) x(t) + B(t) x(t - tau), x = phi on [-tau, 0].
@@ -55,10 +61,9 @@ class LinearDDEProblem:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("state dimension d must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("delay tau must be positive")
-        if self.period is not None and self.period <= 0:
-            raise ValueError("period must be positive when given")
+        _check_positive_finite("delay tau", self.tau)
+        if self.period is not None:
+            _check_positive_finite("period", self.period)
 
     def describe(self) -> str:
         base = f"linear d={self.d} tau={self.tau!r}"
@@ -83,8 +88,7 @@ class QuasilinearDDEProblem:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("state dimension d must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("delay tau must be positive")
+        _check_positive_finite("delay tau", self.tau)
 
     def describe(self) -> str:
         base = f"quasilinear d={self.d} tau={self.tau!r}"

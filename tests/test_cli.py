@@ -8,7 +8,7 @@ import pytest
 
 import ddemagnus
 from ddemagnus import ChebyshevGrid
-from ddemagnus.cli import _SOLVE_ROW, _format_rows, _solve_lines, main
+from ddemagnus.cli import _SOLVE_ROW, _format_rows, _solve_lines, build_parser, main
 from ddemagnus.dde import Trajectory
 
 
@@ -94,11 +94,52 @@ def test_nonfinite_horizon_is_a_usage_error(capsys, argv, field):
     assert f"field '{field}'" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+BAD_PERIODS = ["nan", "inf", "-1", "0", "1e308"]
+
+
+@pytest.mark.parametrize("value", BAD_PERIODS)
 def test_multipliers_rejects_nonfinite_periods(capsys, value):
     code, _, err = run_cli(["multipliers", "--problem", "example1", "--N", "4",
                             "--M", "4", "--periods", value], capsys)
     assert code == 2 and "field 'periods'" in err
+
+
+@pytest.mark.parametrize("value", BAD_PERIODS)
+def test_convergence_rejects_bad_periods(capsys, value):
+    code, _, err = run_cli(["convergence", "--problem", "example1", "--N", "4",
+                            "--M-list", "2,4", "--periods", value], capsys)
+    assert code == 2 and "field 'periods'" in err
+
+
+@pytest.mark.parametrize("flag", ["--M-list", "--N-list"])
+@pytest.mark.parametrize("value", ["0,4", "x", ""])
+def test_bad_integer_list_is_a_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["convergence", "--problem", "example1", "--periods", "1", flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    key = flag[2:].lower().replace("-", "_")
+    config.write_text(f"{key} = {value}\n")
+    code, _, err = run_cli(["convergence", "--problem", "example1", "--periods", "1",
+                            "--config", str(config)], capsys)
+    assert code == 2 and f"field '{key}': cannot parse" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_slope_floor_is_a_usage_error(capsys, value):
+    code, out, err = run_cli(["convergence", "--problem", "example1", "--N", "4",
+                              "--periods", "1", "--M-list", "2,4",
+                              f"--slope-floor={value}"], capsys)
+    assert code == 2 and "field 'slope_floor'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_delay_parameter_is_a_usage_error(capsys, value):
+    code, _, err = run_cli(["audit", "--problem", "sir", "--t-final", "2",
+                            "--param", f"tau={value}"], capsys)
+    assert code == 2 and "field 'param': delay tau must be finite" in err
 
 
 def test_nan_stability_tolerance_is_a_usage_error(capsys):
@@ -150,6 +191,14 @@ def test_multipliers_output(tmp_path, capsys):
     assert "stability:" in out_text
 
 
+def test_multipliers_periods_stretch_the_monodromy(capsys):
+    argv = ["multipliers", "--problem", "mathieu", "--N", "6", "--M", "8"]
+    one = parse_csv(run_cli(argv, capsys)[1])[0]
+    two = parse_csv(run_cli(argv + ["--periods", "2"], capsys)[1])[0]
+    assert float(two["dominant_modulus"]) == pytest.approx(
+        float(one["dominant_modulus"]) ** 2, rel=1e-8)
+
+
 def test_multipliers_needs_periodic_linear_problem(capsys):
     code, _, err = run_cli(["multipliers", "--problem", "sir"], capsys)
     assert code == 2 and "linear" in err
@@ -185,15 +234,16 @@ def test_convergence_order4_multiplier_slope(capsys):
     assert 3.6 <= float(header["fitted_order"]) <= 4.4
 
 
-def test_convergence_solution_metric_parallel_matches_serial(capsys):
+def test_convergence_solution_metric_rejects_jobs(capsys):
     args = ["convergence", "--problem", "nonlinear-scalar", "--N", "10",
             "--order", "2", "--t-final", "1.5707963", "--M-list", "4,8"]
-    code1, serial, _ = run_cli(args, capsys)
-    code2, threaded, _ = run_cli(args + ["--jobs", "2"], capsys)
-    assert code1 == code2 == 0
-    # results merged by key, not completion order: identical data rows
-    assert serial.splitlines()[-3:] == threaded.splitlines()[-3:]
-    header, _, _ = parse_csv(serial)
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    code, out_text, _ = run_cli(args, capsys)
+    assert code == 0
+    header, _, _ = parse_csv(out_text)
     assert header["metric"] == "solution"
     assert 1.5 <= float(header["fitted_order"]) <= 2.5
 
@@ -244,6 +294,42 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
     assert header["N"] == "8"  # command line wins
 
 
+# Per configuration key: a command line without the option (it may be
+# incomplete without it), and the value to set (None for a flag that takes
+# no value).
+_SOLVE = ["solve", "--N", "4", "--M", "8", "--t-final", "1"]
+_STUDY = ["convergence", "--N", "4", "--periods", "1"]
+OPTION_CASES = {
+    "problem": (_SOLVE, "nonlinear-scalar"),
+    "N": (["solve", "--M", "8", "--t-final", "1"], "5"),
+    "M": (["solve", "--N", "4", "--t-final", "1"], "3"),
+    "order": (_SOLVE, "4"),
+    "t_final": (["solve", "--N", "4", "--M", "8"], "1.5"),
+    "periods": (["multipliers", "--N", "4", "--M", "4"], "2"),
+    "store_steps": (_SOLVE, None),
+    "warn_as_error": (_SOLVE, None),
+    "stability_tol": (["multipliers", "--N", "4", "--M", "4"], "0.5"),
+    "m_list": (_STUDY, "2,4"),
+    "n_list": (_STUDY + ["--M", "4"], "4,6"),
+    # drops the M = 8 point (error 0.01926) from the fit, keeps M = 2 and 4
+    "slope_floor": (_STUDY + ["--M-list", "2,4,8"], "0.0193"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(build_parser()[1]) - {"out"}))
+def test_config_key_matches_flag(tmp_path, capsys, key):
+    action = build_parser()[1][key]
+    argv, value = OPTION_CASES[key]
+    flag = [action.option_strings[0]] + ([] if value is None else [value])
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {'yes' if value is None else value}\n")
+    base = run_cli(argv, capsys)
+    from_flag = run_cli(argv + flag, capsys)
+    from_file = run_cli(argv + ["--config", str(config)], capsys)
+    assert from_flag[0] == from_file[0] == 0
+    assert from_file[1] == from_flag[1] != base[1]  # the option took effect
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("nodes = 6\n")
@@ -267,6 +353,13 @@ def test_warn_as_error_escalates(capsys):
                             "--M", "1", "--order", "2", "--t-final",
                             "1.5707963", "--warn-as-error"], capsys)
     assert code == 1 and "numerical failure" in err
+
+
+def test_warn_as_error_ends_with_its_run(capsys):
+    argv = ["solve", "--problem", "example1", "--N", "20", "--M", "1",
+            "--order", "2", "--t-final", "1.5707963"]
+    assert run_cli(argv + ["--warn-as-error"], capsys)[0] == 1
+    assert run_cli(argv, capsys)[0] == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

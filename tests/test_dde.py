@@ -240,6 +240,25 @@ def test_nonfinite_t_final_is_rejected():
             solve(bench.problem, 8, 4, 2, t_final)
 
 
+_BAD_DELAYS = [(math.nan, "must be finite"), (math.inf, "must be finite"),
+               (0.0, "must be positive"), (-1.0, "must be positive")]
+
+
+@pytest.mark.parametrize("field", ["tau", "period"])
+@pytest.mark.parametrize("value, message", _BAD_DELAYS)
+def test_linear_problem_rejects_bad_delay_and_period(field, value, message):
+    kwargs = {"tau": 1.0, "period": 2.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} {message}"):
+        scalar_linear(1.0, -1.0, kwargs["tau"], period=kwargs["period"])
+
+
+@pytest.mark.parametrize("value, message", _BAD_DELAYS)
+def test_quasilinear_problem_rejects_bad_delay(value, message):
+    with pytest.raises(ValueError, match=f"delay tau {message}"):
+        QuasilinearDDEProblem(d=1, tau=value, A=lambda x: np.array([[-1.0]]),
+                              phi=lambda t: np.array([1.0]))
+
+
 def test_wrong_shaped_coefficient_reports_location():
     prob = LinearDDEProblem(d=1, tau=1.0,
                             A=lambda t: np.zeros((1, 1) if t < 1.0 else (2, 2)),
