@@ -90,11 +90,12 @@ def _parse_param_item(item: str):
 def read_config_file(path: str):
     """Parse a key = value config file mirroring the command-line flags.
 
-    Keys use the flag names with dashes or underscores; problem
-    parameters are written as ``param.<name> = <value>``.  ``#`` starts
-    a comment.
+    Returns the (key, value) pairs in file order, keys as written (see
+    :func:`resolve_config` for the accepted spellings), and the problem
+    parameters, written as ``param.<name> = <value>``.  ``#`` starts a
+    comment.
     """
-    values = {}
+    values = []
     params = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -108,12 +109,12 @@ def read_config_file(path: str):
         if "=" not in line:
             raise ConfigError(f"field 'config': {path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip()
         value = value.strip()
         if key.startswith("param."):
             params[key[len("param."):]] = _parse_value(value)
         else:
-            values[key] = value
+            values.append((key, value))
     return values, params
 
 
@@ -141,18 +142,28 @@ def _parse_int_list(text: str):
 def resolve_config(args: argparse.Namespace, options: dict) -> RunConfig:
     """Merge defaults, config file and command line (later wins).
 
-    ``options`` maps each configuration key to its parser action; a
-    config-file value is converted by that action's ``type`` (or as a
-    true/false word for a flag that takes no value).
+    ``options`` maps each configuration key to its parser action.  A
+    config-file key is the key itself or one of the action's flag names
+    without the leading dashes, each with dashes or underscores (so
+    ``m_list``, ``m-list``, ``M-list`` and ``M_list`` all name --M-list;
+    case matters, since N and M are different keys).  Its value is
+    converted by the action's ``type`` (or as a true/false word for a
+    flag that takes no value).
     """
     cfg = RunConfig(command=args.command)
     params = {}
     if args.config:
         file_values, params = read_config_file(args.config)
-        for key, text in file_values.items():
-            action = options.get(key)
-            if action is None:
-                raise ConfigError(f"field {key!r}: unknown configuration key")
+        spellings = {}
+        for dest, action in options.items():
+            for name in (dest, *(flag.lstrip("-") for flag in action.option_strings)):
+                spellings[name.replace("-", "_")] = spellings[name.replace("_", "-")] = dest
+        for written, text in file_values:
+            key = spellings.get(written)
+            if key is None:
+                raise ConfigError(f"field {written.replace('-', '_')!r}: "
+                                  f"unknown configuration key")
+            action = options[key]
             convert = _parse_bool if action.nargs == 0 else action.type or str
             try:
                 setattr(cfg, key, convert(text))
@@ -349,13 +360,19 @@ def cmd_convergence(cfg: RunConfig, bench) -> int:
         if bench.reference_multiplier is None:
             raise ConfigError("field 'problem': no reference multiplier available")
         metric, problem = "multiplier", _stretched(bench.problem, cfg.periods)
+        if cfg.periods != round(cfg.periods):
+            raise ConfigError("field 'periods': a multiplier study needs a whole "
+                              "number of periods")
+        # over p periods the multipliers are those of one period to the power p
+        reference = bench.reference_multiplier ** round(cfg.periods)
 
         def error(N, M):
             # track the dominant multiplier against the reference; at coarse M
             # some other branch can sit accidentally closer to the reference,
-            # which would hide the scheme's convergence order
-            result = monodromy(problem, N, M, cfg.order)
-            return float(abs(result.dominant - bench.reference_multiplier))
+            # which would hide the scheme's convergence order.  `dominant` is
+            # one member of a complex pair, so it is compared with both.
+            mu = monodromy(problem, N, M, cfg.order).dominant
+            return float(min(abs(mu - reference), abs(mu - reference.conjugate())))
     else:
         if bench.exact is None:
             raise ConfigError("field 'problem': no exact solution available; "
@@ -384,7 +401,8 @@ def cmd_convergence(cfg: RunConfig, bench) -> int:
             local = math.log(errors[i - 1] / err) / math.log(point / points[i - 1])
         rows.append((point, err, local))
     overall = fitted_order(points, errors, cfg.slope_floor)
-    header = _header_pairs(cfg, extra=[("metric", metric),
+    header = _header_pairs(cfg, extra=[("slope_floor", _fmt(cfg.slope_floor)),
+                                       ("metric", metric),
                                        ("fitted_order", _fmt(overall))])
     _write_csv(cfg, header, [label, "error", "local_order"], _format_rows(rows))
     return EXIT_OK

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .linalg import NumericalFailure, eigenvalues
-from .magnus_linear import LINEAR_ORDERS, magnus_step, magnus_step_matrix
+from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix
 from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
@@ -119,21 +119,22 @@ def admissible_orders(problem: DDEProblem):
 class DiscretizedSystem:
     """A DDE problem sampled on a Chebyshev grid, ready for time stepping.
 
-    Builds the constant rows (2/tau) * (D kron I_d) once.  ``phi_vector``
-    is the sampled initial function, None when the system only assembles.
+    Builds the constant rows d.. of the system matrix, (2/tau) * (D kron
+    I_d) without its first d rows, once; every step uses them by
+    reference.  ``phi_vector`` is the sampled initial function, None when
+    the system only assembles.
     """
 
     problem: DDEProblem
     grid: ChebyshevGrid
     phi_vector: Optional[np.ndarray] = None
-    _base: np.ndarray = field(init=False, repr=False)
+    _lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.delay != self.problem.tau:
             raise ValueError("grid delay does not match the problem delay")
-        d, n = self.d, self.big_dim
-        self._base = np.zeros((n, n))
-        self._base[d:, :] = np.kron(self.grid.scaled_diff_matrix, np.eye(d))[d:, :]
+        d = self.d
+        self._lower = np.kron(self.grid.scaled_diff_matrix, np.eye(d))[d:, :]
 
     @property
     def d(self) -> int:
@@ -143,35 +144,40 @@ class DiscretizedSystem:
     def big_dim(self) -> int:
         return self.problem.d * (self.grid.N + 1)
 
+    def top_rows(self, t: float) -> np.ndarray:
+        """First d rows of the system matrix at time t (linear problems):
+        A(t) in the leading d x d block, B(t) in the trailing one."""
+        d, n = self.d, self.big_dim
+        out = np.zeros((d, n))
+        out[:, :d] = _coefficient(self.problem.A, t, d, "A")
+        out[:, n - d:] = _coefficient(self.problem.B, t, d, "B")
+        return out
+
     def matrix_at(self, t: float) -> np.ndarray:
         """Assembled system matrix at time t (linear problems)."""
-        d, n = self.d, self.big_dim
-        out = self._base.copy()
-        out[:d, :d] = _coefficient(self.problem.A, t, d, "A")
-        out[:d, n - d:] = _coefficient(self.problem.B, t, d, "B")
-        return out
+        return np.concatenate((self.top_rows(t), self._lower))
 
     def matrix_of_state(self, state: np.ndarray) -> np.ndarray:
         """Assembled system matrix for a big state vector (quasilinear problems)."""
         d, n = self.d, self.big_dim
-        out = self._base.copy()
-        out[:d, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d, "A(x)")
-        return out
+        out = np.zeros((d, n))
+        out[:, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d, "A(x)")
+        return np.concatenate((out, self._lower))
 
     def stepper(self, order: int, state: np.ndarray, memo: Optional[dict] = None):
         """Step function ``(t, h, state) -> state`` of the given order for ``state``.
 
-        Linear problems step ``matrix_at`` with the vector scheme, or with
-        its matrix form for a 2-D ``state`` (fundamental matrices), and
-        keep their step exponentials in ``memo`` when one is given;
-        quasilinear problems step ``matrix_of_state`` and apply every
-        exponential through one :class:`BlockTriangularExpmv` of the
-        constant rows.
+        Linear problems step ``top_rows`` over the constant rows (a
+        :class:`TopRows`) with the vector scheme, or with its matrix form
+        for a 2-D ``state`` (fundamental matrices), and keep their step
+        exponentials in ``memo`` when one is given; quasilinear problems
+        step ``matrix_of_state`` and apply every exponential through one
+        :class:`BlockTriangularExpmv` of the constant rows.
         """
         if not isinstance(self.problem, LinearDDEProblem):
-            A, expmv = self.matrix_of_state, BlockTriangularExpmv(self._base[self.d:], self.d)
+            A, expmv = self.matrix_of_state, BlockTriangularExpmv(self._lower, self.d)
             return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
-        A = self.matrix_at
+        A = TopRows(self.top_rows, self._lower)
         step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
         return lambda t, h, y: step(A, t, h, y, order, memo=memo)
 

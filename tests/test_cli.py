@@ -330,6 +330,62 @@ def test_config_key_matches_flag(tmp_path, capsys, key):
     assert from_file[1] == from_flag[1] != base[1]  # the option took effect
 
 
+@pytest.mark.parametrize("written, flag", [
+    ("M-list", "--M-list"), ("M_list", "--M-list"), ("m_list", "--M-list"),
+    ("m-list", "--M-list"), ("N-list", "--N-list"), ("n_list", "--N-list")])
+def test_config_key_accepts_flag_spellings(tmp_path, capsys, written, flag):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{written} = 2,4\nt-final = 1\n")
+    argv = ["convergence", "--problem", "example1", "--order", "4", "--M", "4"]
+    from_file = run_cli(argv + ["--config", str(config)], capsys)
+    from_flag = run_cli(argv + [flag, "2,4", "--t-final", "1"], capsys)
+    assert from_file[0] == from_flag[0] == 0
+    assert from_file[1] == from_flag[1]
+
+
+@pytest.mark.parametrize("written", ["n", "m", "M-List", "t-Final", "m__list"])
+def test_config_key_spellings_stay_case_sensitive(tmp_path, capsys, written):
+    # N and M are different keys from a lowercase n or m, so no key is lowercased
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{written} = 4\n")
+    code, _, err = run_cli(["solve", "--t-final", "1", "--config", str(config)], capsys)
+    assert code == 2 and "unknown configuration key" in err
+
+
+def test_convergence_header_echoes_slope_floor(capsys):
+    argv = _STUDY + ["--M-list", "2,4,8"]
+    base = parse_csv(run_cli(argv, capsys)[1])[0]
+    floored = parse_csv(run_cli(argv + ["--slope-floor", "0.0193"], capsys)[1])[0]
+    assert base["slope_floor"] == "0" and floored["slope_floor"] == "0.019300000000000001"
+    assert base["fitted_order"] != floored["fitted_order"]
+    assert ({k: v for k, v in base.items() if k not in ("slope_floor", "fitted_order")}
+            == {k: v for k, v in floored.items() if k not in ("slope_floor", "fitted_order")})
+
+
+def test_convergence_multiplier_study_over_several_periods(capsys):
+    # over p periods the reference is r^p (or its conjugate): the errors keep
+    # the size and the order of the one-period study
+    errors = {}
+    for periods in ("1", "2", "3"):
+        code, out_text, _ = run_cli(["convergence", "--problem", "mathieu", "--N", "20",
+                                     "--periods", periods, "--M-list", "16,32"], capsys)
+        assert code == 0
+        header, _, rows = parse_csv(out_text)
+        errors[periods] = [float(row[1]) for row in rows]
+        assert errors[periods][1] < errors[periods][0]
+        assert 5.0 <= float(header["fitted_order"]) <= 7.0
+    for periods in ("2", "3"):
+        for err, one in zip(errors[periods], errors["1"]):
+            assert one / 10.0 <= err <= 10.0 * one
+
+
+@pytest.mark.parametrize("value", ["1.5", "2.0000001"])
+def test_convergence_multiplier_study_needs_whole_periods(capsys, value):
+    code, _, err = run_cli(["convergence", "--problem", "mathieu", "--N", "6",
+                            "--periods", value, "--M-list", "2,4"], capsys)
+    assert code == 2 and "field 'periods'" in err and "whole number" in err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("nodes = 6\n")

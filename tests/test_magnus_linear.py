@@ -1,8 +1,46 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ddemagnus import (MagnusConvergenceWarning, expm, magnus_step,
-                       magnus_step_matrix)
+from ddemagnus import (ChebyshevGrid, MagnusConvergenceWarning, builtin_problem,
+                       commutator, discretize, expm, magnus_step,
+                       magnus_step_matrix, monodromy)
+from ddemagnus.magnus_linear import TopRows, _omega
+
+SQRT3, SQRT15 = np.sqrt(3.0), np.sqrt(15.0)
+
+
+def dense_omega(A, t, h, order):
+    """The order-4/6 exponents from full matrices and dense commutators."""
+    if order == 4:
+        a1 = A(t + (0.5 - SQRT3 / 6.0) * h)
+        a2 = A(t + (0.5 + SQRT3 / 6.0) * h)
+        return 0.5 * h * (a1 + a2) - (h * h * SQRT3 / 12.0) * commutator(a1, a2)
+    a1, a2, a3 = (A(t + c * h) for c in (0.5 - SQRT15 / 10.0, 0.5, 0.5 + SQRT15 / 10.0))
+    alpha1 = h * a2
+    alpha2 = (SQRT15 * h / 3.0) * (a3 - a1)
+    alpha3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = commutator(alpha1, alpha2)
+    c2 = (-1.0 / 60.0) * commutator(alpha1, 2.0 * alpha3 + c1)
+    return (alpha1 + alpha3 / 12.0
+            + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
+
+
+def delay_rows(d, seed, N=8, tau=1.0):
+    """Random smooth top rows over the delay rows (2/tau)(D kron I_d), as
+    TopRows and as the full-matrix callable."""
+    lower = np.kron(ChebyshevGrid.build(N, tau).scaled_diff_matrix, np.eye(d))[d:]
+    c0, c1, c2 = np.random.default_rng(seed).standard_normal((3, d, lower.shape[1]))
+
+    def top(t):
+        return c0 + np.sin(t) * c1 + np.cos(2.0 * t) * c2
+
+    return TopRows(top, lower), lambda t: np.vstack((top(t), lower))
+
+
+def assert_relative(got, ref, tol):
+    assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
@@ -146,3 +184,56 @@ def test_step_input_validation():
         magnus_step(A, 0.0, 0.1, np.zeros(2), 5)
     with pytest.raises(ValueError):
         magnus_step(lambda t: np.zeros(3), 0.0, 0.1, np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_structured_omega_matches_dense_formula(order, d):
+    rows, full = delay_rows(d, seed=d)
+    for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
+        ref = dense_omega(full, t, h, order)
+        assert_relative(_omega(rows, t, h, order), ref, 1e-13)
+        # a plain callable is the case d = n, without constant rows
+        assert_relative(_omega(TopRows(full), t, h, order), ref, 1e-13)
+
+
+def _safeguard_fires(A, t, h, order):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        magnus_step(A, t, h, np.ones(A.lower.shape[1]), order)
+    return any(issubclass(w.category, MagnusConvergenceWarning) for w in caught)
+
+
+def _dense_estimate(full, t, h, order):
+    # h * sqrt(||A||_1 ||A||_inf) of the full matrix at the midpoint (the
+    # Gauss-point mean for order 4), the estimate the safeguard stands for
+    if order == 4:
+        mid = 0.5 * (full(t + (0.5 - SQRT3 / 6.0) * h) + full(t + (0.5 + SQRT3 / 6.0) * h))
+    else:
+        mid = full(t + 0.5 * h)
+    return h * np.sqrt(np.abs(mid).sum(axis=0).max() * np.abs(mid).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_structured_safeguard_fires_on_the_dense_estimate_steps(order):
+    rows, full = delay_rows(2, seed=7)
+    steps = [(t, h) for t in (0.0, 0.4, 2.0) for h in np.geomspace(0.005, 0.2, 12)]
+    fired = [_safeguard_fires(rows, t, h, order) for t, h in steps]
+    assert fired == [_dense_estimate(full, t, h, order) >= np.pi for t, h in steps]
+    assert 0 < sum(fired) < len(steps)
+    # constant top rows put the threshold at a known step size: either side
+    # of it within 1e-9 relative
+    const = TopRows(lambda t: rows.top(0.3), rows.lower)
+    critical = np.pi / _dense_estimate(lambda t: full(0.3), 0.0, 1.0, order)
+    assert not _safeguard_fires(const, 0.0, critical * (1.0 - 1e-9), order)
+    assert _safeguard_fires(const, 0.0, critical * (1.0 + 1e-9), order)
+
+
+def test_mathieu_monodromy_matches_dense_reference_propagation():
+    problem = builtin_problem("mathieu").problem
+    system = discretize(problem, 30)
+    h = problem.period / 64
+    ref = np.eye(system.big_dim)
+    for k in range(64):
+        ref = expm(dense_omega(system.matrix_at, k * h, h, 6)) @ ref
+    assert_relative(monodromy(problem, 30, 64, 6).monodromy, ref, 1e-12)
