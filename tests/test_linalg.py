@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddemagnus import NumericalFailure, commutator, eigenvalues, expm, sort_spectrum
+from ddemagnus import (NumericalFailure, builtin_problem, commutator, discretize, eigenvalues,
+                       expm, sort_spectrum)
+from ddemagnus.magnus_linear import TopRows, _omega
+
+# accuracy thresholds of the Taylor degrees 8, 12 and 18 (linalg._TAYLOR_THETA)
+THETA_8, THETA_12, THETA_18 = 4.991228871115323e-02, 2.996158913811580e-01, 1.090863719290036
+
+
+def scaled_random(n, norm, seed):
+    """A random n x n matrix with 1-norm ``norm``."""
+    M = np.random.default_rng(seed).standard_normal((n, n))
+    return M * (norm / np.abs(M).sum(axis=0).max())
+
+
+def assert_matches_scipy(M, rtol=1e-12):
+    ref = scipy.linalg.expm(M)
+    assert np.abs(expm(M) - ref).max() <= rtol * np.abs(ref).max()
 
 
 def test_expm_zero_matrix():
@@ -61,6 +77,74 @@ def test_expm_large_norm_contract_bound():
     ref = scipy.linalg.expm(M)
     assert np.isfinite(ours).all()
     assert np.abs(ours - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_expm_degree_18_on_mathieu_exponents_at_workload_size():
+    # order-6 exponents of the Mathieu benchmark at N = 60, M = 128:
+    # n = 122, ||Omega||_1 = 34.2, so degree 18 with s = 5 squarings
+    problem = builtin_problem("mathieu").problem
+    system = discretize(problem, 60)
+    rows = TopRows(system.top_rows, system._lower)
+    h = problem.period / 128
+    for k in (0, 37, 90):
+        omega = _omega(rows, k * h, h, 6)
+        assert omega.shape == (122, 122)
+        assert int(np.ceil(np.log2(np.abs(omega).sum(axis=0).max() / THETA_18))) == 5
+        assert_matches_scipy(omega)
+
+
+def test_expm_degree_12_at_workload_size():
+    M = scaled_random(122, 0.9 * THETA_12, 12)
+    assert THETA_8 < np.abs(M).sum(axis=0).max() <= THETA_12
+    assert_matches_scipy(M)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_expm_degree_18_squaring_counts(s):
+    # norms in (2^(s-1), 2^s] * theta_18 (above theta_12 for s = 0)
+    M = scaled_random(122, 0.75 * 2.0 ** s * THETA_18, 100 + s)
+    norm = np.abs(M).sum(axis=0).max()
+    assert norm > THETA_12 and max(0, int(np.ceil(np.log2(norm / THETA_18)))) == s
+    assert_matches_scipy(M)
+
+
+@pytest.mark.parametrize("n", [2, 21, 122])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_expm_result_owns_its_memory(n, s):
+    # s = 0 computes the polynomial straight into the result; odd and
+    # even s end the squarings in it from either work buffer
+    M = scaled_random(n, 0.75 * 2.0 ** s * THETA_18, n + s)
+    first = expm(M)
+    kept = first.copy()
+    assert first.flags.c_contiguous and first.flags.owndata
+    assert not np.shares_memory(first, M)
+    second = expm(M)
+    assert not np.shares_memory(first, second)
+    expm(-M)
+    expm(2.0 * M)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(second, kept)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_expm_rejects_an_input_whose_1_norm_overflows():
+    with pytest.raises(ValueError, match="1-norm"):
+        expm([[1e308, 0.0], [1e308, 0.0]])
+
+
+def test_expm_scales_by_an_exact_power_of_two():
+    # ||M||_1 = 1e308 needs s = 1024 squarings: the scale 0.5**1024 is
+    # exact, and the result underflows to exact zeros
+    got = expm(-1e308 * np.eye(2))
+    np.testing.assert_array_equal(got, np.zeros((2, 2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_expm_rejects_a_result_that_is_not_finite():
+    with pytest.raises(ValueError, match="not finite"):
+        expm([[1e308, 1e308], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        expm([[1000.0]])
 
 
 def test_expm_scalar_case():

@@ -161,6 +161,14 @@ def test_memo_reuses_the_exponential_of_a_step():
     assert not calls
     assert np.array_equal(again, memo[(0.2, 0.1)])
     assert np.array_equal(again @ y, first)
+    # later steps, through the memo and without it, leave a stored
+    # exponential bit-unchanged
+    kept = memo[(0.2, 0.1)].copy()
+    for t in (0.3, 0.4, 0.5):
+        magnus_step(A, t, 0.1, y, 6, memo=memo)
+        magnus_step_matrix(A, t + 0.05, 0.1, np.eye(2), 6)
+    assert len(memo) == 4
+    assert np.array_equal(memo[(0.2, 0.1)], kept)
 
 
 def test_no_warning_inside_bound():
