@@ -14,8 +14,7 @@ from .linalg import (NumericalFailure, commutator, eigenvalues, expm,
                      sort_spectrum)
 from .magnus_linear import (LINEAR_ORDERS, MagnusConvergenceWarning,
                             magnus_step, magnus_step_matrix)
-from .magnus_nonlinear import (NONLINEAR_ORDERS, nonlinear_magnus_step,
-                               structure_check)
+from .magnus_nonlinear import NONLINEAR_ORDERS, nonlinear_magnus_step
 from .dde import (DiscretizedSystem, LinearDDEProblem, MonodromyResult,
                   QuasilinearDDEProblem, Trajectory, assemble_linear,
                   assemble_quasilinear, discretize, monodromy, solve,
@@ -31,10 +30,10 @@ __all__ = [
     "NumericalFailure", "commutator", "eigenvalues", "expm", "sort_spectrum",
     "LINEAR_ORDERS", "MagnusConvergenceWarning", "magnus_step",
     "magnus_step_matrix", "NONLINEAR_ORDERS", "nonlinear_magnus_step",
-    "structure_check", "DiscretizedSystem", "LinearDDEProblem",
-    "MonodromyResult", "QuasilinearDDEProblem", "Trajectory",
-    "assemble_linear", "assemble_quasilinear", "discretize", "monodromy",
-    "solve", "stability_verdict", "BenchmarkProblem",
+    "DiscretizedSystem", "LinearDDEProblem", "MonodromyResult",
+    "QuasilinearDDEProblem", "Trajectory", "assemble_linear",
+    "assemble_quasilinear", "discretize", "monodromy", "solve",
+    "stability_verdict", "BenchmarkProblem",
     "MATHIEU_CRITICAL_B", "MATHIEU_REFERENCE_MULTIPLIER", "builtin_problem",
     "example1_scalar_periodic", "example2_delayed_mathieu",
     "example3_scalar_nonlinear", "example4_delayed_sir",

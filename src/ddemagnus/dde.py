@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import NumericalFailure, eigenvalues
 from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix
-from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv,
+from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
 
@@ -171,11 +171,12 @@ class DiscretizedSystem:
         :class:`TopRows`) with the vector scheme, or with its matrix form
         for a 2-D ``state`` (fundamental matrices), and keep their step
         exponentials in ``memo`` when one is given; quasilinear problems
-        step ``matrix_of_state`` and apply every exponential through one
-        :class:`BlockTriangularExpmv` of the constant rows.
+        step A(x) as the :class:`DelayExponent` (A(x), I_d, 1) and apply every
+        exponential through one :class:`BlockTriangularExpmv` of the constant rows.
         """
         if not isinstance(self.problem, LinearDDEProblem):
-            A, expmv = self.matrix_of_state, BlockTriangularExpmv(self._lower, self.d)
+            d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
+            A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
             return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
         A = TopRows(self.top_rows, self._lower)
         step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step

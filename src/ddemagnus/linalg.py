@@ -149,20 +149,21 @@ def expm(M) -> np.ndarray:
     Scaling and squaring with a degree-adapted Taylor polynomial: the
     degree is the smallest of {1, 2, 4, 8, 12, 18} whose accuracy
     threshold covers ``||M||_1``, and the squaring count is
-    max(0, ceil(log2(||M||_1 / theta_18))).  Raises ValueError when
-    ``||M||_1`` or the result is not finite.
+    max(0, ceil(log2(||M||_1 / theta_18))).  Raises ValueError, without
+    numpy's overflow warnings, when ``||M||_1`` or the result is not finite.
     """
     A = _validated_square(M, "expm")
-    norm = np.abs(A).sum(axis=0).max()
-    if not np.isfinite(norm):
-        raise ValueError(f"expm needs a finite 1-norm to scale its input, got {norm}")
-    degree = next((d for d, theta in _TAYLOR_THETA if norm <= theta), 18)
-    if A.shape[0] == 1:
-        X = np.exp(A)
-    elif degree <= 8:
-        X = _taylor_exp(A, degree)
-    else:
-        X = _scaled_taylor_exp(A, degree, norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(A).sum(axis=0).max()
+        if not np.isfinite(norm):
+            raise ValueError(f"expm needs a finite 1-norm to scale its input, got {norm}")
+        degree = next((d for d, theta in _TAYLOR_THETA if norm <= theta), 18)
+        if A.shape[0] == 1:
+            X = np.exp(A)
+        elif degree <= 8:
+            X = _taylor_exp(A, degree)
+        else:
+            X = _scaled_taylor_exp(A, degree, norm)
     if not np.isfinite(X).all():
         raise ValueError(f"expm result is not finite (input 1-norm {norm:.6g})")
     return X

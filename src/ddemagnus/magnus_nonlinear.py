@@ -7,8 +7,8 @@ state.  By default each is a dense ``expm(M) @ y``.
 For the spectrally discretized delay system only the top-left d x d
 block of A(y) depends on the state; rows d.. are the constant
 differentiation rows L = [L21, L22].  Every exponent the two schemes
-build is then block lower triangular, T = [[P, 0], [c*L21 @ S, c*L22]]
-with a scalar c (h or h/2) and d x d blocks P and S, and
+build is then T = [[P, 0], [L21 @ W, c * L22]] with d x d blocks P and
+W and a scalar c, carried as a :class:`DelayExponent`, and
 :class:`BlockTriangularExpmv` applies exp(T) from tables built once per
 step size instead of exponentiating the full matrix at every stage.
 """
@@ -19,7 +19,9 @@ import math
 
 import numpy as np
 
-from .linalg import commutator, expm
+# commutator is not called here, but stays bound: bench/tracer.py wraps
+# magnus_nonlinear.commutator and reports a missing name as a broken target
+from .linalg import commutator, expm  # noqa: F401
 
 NONLINEAR_ORDERS = (2, 3)
 
@@ -43,37 +45,55 @@ _MAX_TERMS = _series_terms(_THETA)
 _INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(_MAX_TERMS + 1)])
 
 
-def structure_check(M, d: int) -> bool:
-    """True iff rows 0..d-1 of the square matrix M vanish outside columns 0..d-1.
-
-    This is the pattern of the spectrally discretized quasilinear
-    operator, which matrix exponentials and the integrators below
-    preserve exactly.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("structure_check expects a square matrix")
-    if d < 1 or M.shape[0] % d != 0:
-        raise ValueError(
-            f"matrix dimension {M.shape[0]} is not a multiple of the block size {d}")
-    return bool(np.all(M[:d, d:] == 0.0))
-
-
 def dense_expmv(M, y) -> np.ndarray:
     """exp(M) @ y through the full matrix exponential; any square M."""
     return expm(M) @ y
 
 
+class DelayExponent:
+    """T = [[P, 0], [L21 @ W, c * L22]] over the constant rows [L21, L22]
+    of a discretized quasilinear system, held as its d x d blocks P and W
+    and the scalar c.
+
+    Sums, differences, negation and scalar multiples act blockwise.  A
+    product is formed only where it keeps this form: when the left factor
+    has c = 0, or the right one has W = 0 and c = 0, T1 @ T2 is
+    (P1 P2, W1 P2, 0); any other product raises ValueError.
+    """
+
+    __array_ufunc__ = None  # `numpy scalar * exponent` goes to __rmul__
+
+    def __init__(self, P, W, c: float):
+        self.P, self.W, self.c = P, W, c
+
+    def __add__(self, other):
+        return DelayExponent(self.P + other.P, self.W + other.W, self.c + other.c)
+
+    def __sub__(self, other):
+        return DelayExponent(self.P - other.P, self.W - other.W, self.c - other.c)
+
+    def __neg__(self):
+        return DelayExponent(-self.P, -self.W, -self.c)
+
+    def __mul__(self, s):
+        s = float(s)
+        return DelayExponent(s * self.P, s * self.W, s * self.c)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if self.c != 0.0 and (other.c != 0.0 or other.W.any()):
+            raise ValueError("product of delay exponents is not of the form "
+                             "[[P, 0], [L21 W, c L22]]")
+        return DelayExponent(self.P @ other.P, self.W @ other.P, 0.0)
+
+
 class BlockTriangularExpmv:
-    """exp(T) @ y for the exponents of the discretized quasilinear system.
+    """exp(T) @ y for a :class:`DelayExponent` T of the discretized
+    quasilinear system.
 
     ``lower`` holds the constant rows [L21, L22] of the system matrix,
-    shape (n - d, n).  An accepted exponent has a zero top-right d x
-    (n - d) block, a lower-right block R equal to c * L22 for a scalar
-    c, and a lower-left block X = c * L21 @ S for some d x d matrix S;
-    anything else raises ValueError.  The first R seen for each c is
-    kept, and a later R with the same probe entry must equal it bit for
-    bit.  With P the top-left block,
+    shape (n - d, n).  With R = c L22 and S = W / c,
 
         exp(T) y = [ sum_k P^k y1 / k! ;  e^R y2 + sum_k G_k S P^k y1 ],
 
@@ -83,7 +103,9 @@ class BlockTriangularExpmv:
     occurs.  m = 1 while ||P||_1 <= 1.  Beyond that m = 2^j with
     ||P/m||_1 <= 1: the series builds the blocks of exp(T/m) from tables
     for R/m, and j block-triangular squarings give exp(T), so a large P
-    costs j small products rather than a long, cancelling series.
+    costs j small products rather than a long, cancelling series.  A
+    non-finite P or W, or a c that is zero or not finite, raises
+    ValueError.
     """
 
     def __init__(self, lower, d: int):
@@ -93,65 +115,34 @@ class BlockTriangularExpmv:
         self.d = d
         self._l21 = lower[:, :d].copy()
         self._l22 = lower[:, d:].copy()
-        # least-squares left inverse of L21 (v kron I_d, so L21^T L21 = |v|^2 I_d)
-        self._l21_pinv = np.linalg.solve(self._l21.T @ self._l21, self._l21.T)
-        self._l21_max = float(np.abs(self._l21).max())
-        self._probe = int(np.abs(self._l22).argmax())
-        self._scales = {}   # probe entry of R -> (R, c)
-        self._tables = {}   # (probe entry of R, m) -> see _table
+        self._tables = {}   # (c, m) -> see _table
 
-    def _scale_of(self, R: np.ndarray) -> tuple:
-        """(key, c) with R = c * L22; a known key must come with the same R."""
-        key = float(R.flat[self._probe])
-        known = self._scales.get(key)
-        if known is not None:
-            if not (R == known[0]).all():
-                raise ValueError("lower-right block of the exponent matches none of "
-                                 "the tables built for this system")
-            return key, known[1]
-        c = key / self._l22.flat[self._probe]
-        if not (math.isfinite(c) and c != 0.0
-                and np.abs(R - c * self._l22).max() <= 8 * _UNIT_ROUNDOFF * abs(key)):
-            raise ValueError("lower-right block of the exponent is not a multiple "
-                             "of the differentiation rows")
-        self._scales[key] = (R.copy(), c)
-        return key, c
-
-    def _table(self, key: float, R: np.ndarray, c: float, m: int) -> tuple:
-        """([e^{R/m}, e^{2R/m}, ..., e^R], [G_0 ... G_{K-1}] of R/m) for m = 2^j."""
-        table = self._tables.get((key, m))
+    def _table(self, c: float, m: int) -> tuple:
+        """([e^{R/m}, e^{2R/m}, ..., e^R], [G_0 ... G_{K-1}] of R/m) for
+        R = c L22 and m = 2^j."""
+        table = self._tables.get((c, m))
         if table is None:
-            nl, d, K = R.shape[0], self.d, _MAX_TERMS
-            W = np.zeros((nl + K * d, nl + K * d))
-            W[:nl, :nl] = R / m
-            W[:nl, nl:nl + d] = (c / m) * self._l21
-            W[nl:nl + (K - 1) * d, nl + d:] = np.eye((K - 1) * d)
-            F = expm(W)
+            nl, d, K = self._l22.shape[0], self.d, _MAX_TERMS
+            Z = np.zeros((nl + K * d, nl + K * d))
+            Z[:nl, :nl] = (c / m) * self._l22
+            Z[:nl, nl:nl + d] = (c / m) * self._l21
+            Z[nl:nl + (K - 1) * d, nl + d:] = np.eye((K - 1) * d)
+            F = expm(Z)
             squares = [F[:nl, :nl].copy()]
             while len(squares) < m.bit_length():
                 squares.append(squares[-1] @ squares[-1])
-            table = self._tables[(key, m)] = (squares, F[:nl, nl:].copy())
+            table = self._tables[(c, m)] = (squares, F[:nl, nl:].copy())
         return table
 
-    def __call__(self, T, y) -> np.ndarray:
-        d, n = self.d, self._l21.shape[0] + self.d
-        T = np.asarray(T, dtype=float)
-        if T.shape != (n, n):
-            raise ValueError(f"exponent has shape {T.shape}, expected {(n, n)}")
-        if not structure_check(T, d):
-            raise ValueError("exponent has a nonzero top-right block")
-        P, X, R = T[:d, :d], T[d:, :d], T[d:, d:]
-        key, c = self._scale_of(R)
-        cS = self._l21_pinv @ X
+    def __call__(self, T: DelayExponent, y) -> np.ndarray:
+        d, P, c = self.d, T.P, T.c
         norm = float(np.abs(P).sum(axis=0).max())
-        if not (math.isfinite(norm) and np.isfinite(cS).all()):
+        if not (math.isfinite(norm) and np.isfinite(T.W).all()):
             raise ValueError("exponent has non-finite entries")
-        if not (np.abs(X - self._l21 @ cS).max()
-                <= 1e-12 * self._l21_max * (abs(c) + np.abs(cS).max())):
-            raise ValueError("lower-left block of the exponent is not the "
-                             "differentiation column times a d x d matrix")
+        if not (math.isfinite(c) and c != 0.0):
+            raise ValueError(f"exponent has a zero or non-finite scale c = {c!r}")
         m = 1 if norm <= _THETA else 2 ** math.ceil(math.log2(norm / _THETA))
-        squares, G = self._table(key, R, c, m)
+        squares, G = self._table(c, m)
         # m = 1: the series acts on the column y1 and gives exp(T) y directly;
         # m > 1: it builds the blocks of exp(T/m) = [[E, 0], [Y, e^{R/m}]],
         # which j block-triangular squarings turn into those of exp(T)
@@ -162,7 +153,7 @@ class BlockTriangularExpmv:
             powers.append(Pm @ powers[-1])
         powers = np.array(powers)
         E = (_INV_FACTORIALS[:K + 1] @ powers.reshape(K + 1, -1)).reshape(powers.shape[1:])
-        Y = G[:, :K * d] @ ((cS / c) @ powers[:K]).reshape(K * d, -1)
+        Y = G[:, :K * d] @ ((T.W / c) @ powers[:K]).reshape(K * d, -1)
         for B in squares[:-1]:
             Y = Y @ E + B @ Y
             E = E @ E
@@ -171,8 +162,11 @@ class BlockTriangularExpmv:
         return np.concatenate([E[:, 0], Y[:, 0] + squares[-1] @ y[d:]])
 
 
-def _eval_state_matrix(A, y: np.ndarray) -> np.ndarray:
-    M = np.asarray(A(y), dtype=float)
+def _eval_state_matrix(A, y: np.ndarray):
+    M = A(y)
+    if isinstance(M, DelayExponent):
+        return M
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("state-matrix evaluator must return a square matrix")
     return M
@@ -185,9 +179,10 @@ def nonlinear_magnus_step(A, h: float, y, order: int, *,
     Order 2 (trapezoidal correction of the frozen exponent):
         u = h A(y);  v = (u + h A(e^u y)) / 2;  y_next = e^v y.
     Order 3 adds two more corrector evaluations and one commutator.
-    Local error is O(h^(order+1)).  ``expmv(M, y)`` applies exp(M) to y;
-    the default exponentiates M in full, :class:`BlockTriangularExpmv`
-    exploits the delay-system block structure.
+    Local error is O(h^(order+1)).  ``A(y)`` returns a square matrix or
+    a :class:`DelayExponent`; ``expmv(M, y)`` applies exp(M) to y.  The
+    default exponentiates a matrix in full, :class:`BlockTriangularExpmv`
+    applies a :class:`DelayExponent`.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -203,6 +198,6 @@ def nonlinear_magnus_step(A, h: float, y, order: int, *,
         u2 = q1 + q2
         q3 = -u2 + h * _eval_state_matrix(A, expmv(u1, y))
         q4 = -u2 - q2 + h * _eval_state_matrix(A, expmv(u2, y))
-        u3 = u2 + (2.0 / 3.0) * q3 + (1.0 / 6.0) * q4 - (1.0 / 6.0) * commutator(q1, q2)
+        u3 = u2 + (2.0 / 3.0) * q3 + (1.0 / 6.0) * q4 - (1.0 / 6.0) * (q1 @ q2 - q2 @ q1)
         return expmv(u3, y)
     raise ValueError(f"order must be one of {NONLINEAR_ORDERS}, got {order}")

@@ -166,6 +166,8 @@ def example4_delayed_sir(alpha: float = 0.0, beta: float = 1.0,
     """
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta and gamma must be positive")
+    if not all(map(math.isfinite, (s0, i0, r0))):
+        raise ValueError(f"s0, i0 and r0 must be finite, got {s0!r}, {i0!r}, {r0!r}")
     if alpha not in (0.0, 1.0):
         warnings.warn("alpha outside {0, 1} has no standard epidemiological "
                       "reading; proceeding anyway", UserWarning, stacklevel=2)

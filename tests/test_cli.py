@@ -142,6 +142,14 @@ def test_nonfinite_delay_parameter_is_a_usage_error(capsys, value):
     assert code == 2 and "field 'param': delay tau must be finite" in err
 
 
+@pytest.mark.parametrize("param", ["s0=nan", "i0=inf", "r0=-inf"])
+def test_nonfinite_sir_history_is_a_usage_error(capsys, param):
+    code, out, err = run_cli(["audit", "--problem", "sir", "--t-final", "2",
+                              "--param", param], capsys)
+    assert code == 2 and "field 'param': s0, i0 and r0 must be finite" in err
+    assert out == ""
+
+
 def test_nan_stability_tolerance_is_a_usage_error(capsys):
     code, out, err = run_cli(["multipliers", "--problem", "example1", "--N", "4",
                               "--M", "4", "--stability-tol", "nan"], capsys)
@@ -418,7 +426,7 @@ def test_warn_as_error_ends_with_its_run(capsys):
     assert run_cli(argv, capsys)[0] == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failure_exit_code(capsys):
     # eigenvalue 2000 of the frozen system overflows exp within one step
     code, _, err = run_cli(["solve", "--problem", "mathieu",
@@ -427,6 +435,21 @@ def test_numerical_failure_exit_code(capsys):
     assert code == 1
     assert "numerical failure" in err
     assert "interval 0" in err
+
+
+def test_overflowing_exponential_prints_only_the_failure():
+    # numpy's overflow warnings would only repeat the failure line; the
+    # convergence safeguard (a UserWarning) fires on this step by design
+    src = str(Path(ddemagnus.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "ignore::UserWarning", "-m", "ddemagnus",
+                           "solve", "--problem", "mathieu", "--param", "delta=-4e6",
+                           "--N", "12", "--M", "1", "--order", "2", "--t-final", "12.566370"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "numerical failure: expm result is not finite (input 1-norm 2.51328e+07) "
+        "in interval 0, step 0"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -126,7 +126,7 @@ def test_expm_result_owns_its_memory(n, s):
     np.testing.assert_array_equal(second, kept)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_expm_rejects_an_input_whose_1_norm_overflows():
     with pytest.raises(ValueError, match="1-norm"):
         expm([[1e308, 0.0], [1e308, 0.0]])
@@ -139,7 +139,7 @@ def test_expm_scales_by_an_exact_power_of_two():
     np.testing.assert_array_equal(got, np.zeros((2, 2)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_expm_rejects_a_result_that_is_not_finite():
     with pytest.raises(ValueError, match="not finite"):
         expm([[1e308, 1e308], [0.0, 0.0]])

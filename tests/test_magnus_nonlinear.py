@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ddemagnus import (ChebyshevGrid, builtin_problem, expm,
-                       nonlinear_magnus_step, solve, structure_check)
-from ddemagnus.magnus_nonlinear import BlockTriangularExpmv
+                       nonlinear_magnus_step, solve)
+from ddemagnus.magnus_nonlinear import BlockTriangularExpmv, DelayExponent
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -49,78 +49,123 @@ def test_step_input_validation():
         nonlinear_magnus_step(A, 0.1, np.zeros(2), 4)
 
 
-def _patterned(rng, d, n):
-    M = rng.standard_normal((n, n))
-    M[:d, d:] = 0.0
-    return M
-
-
-def test_structure_check_patterns():
-    rng = np.random.default_rng(31)
-    assert structure_check(_patterned(rng, 2, 8), 2)
-    assert structure_check(np.zeros((6, 6)), 3)
-    assert not structure_check(rng.standard_normal((8, 8)), 2)
-
-
-def test_structure_check_validation():
-    with pytest.raises(ValueError):
-        structure_check(np.zeros((4, 5)), 2)
-    with pytest.raises(ValueError):
-        structure_check(np.zeros((5, 5)), 2)  # 5 not a multiple of 2
-    with pytest.raises(ValueError):
-        structure_check(np.zeros((4, 4)), 0)
-
-
 def delay_rows(N, d, tau=1.0):
     """Constant rows d.. of the discretized delay system: (2/tau)(D kron I_d)[d:]."""
     return np.kron(ChebyshevGrid.build(N, tau).scaled_diff_matrix, np.eye(d))[d:]
+
+
+def dense(T, lower):
+    """The n x n matrix [[P, 0], [L21 W, c L22]] that a DelayExponent stands for."""
+    d = T.P.shape[0]
+    M = np.zeros((lower.shape[1], lower.shape[1]))
+    M[:d, :d] = T.P
+    M[d:, :d] = lower[:, :d] @ T.W
+    M[d:, d:] = T.c * lower[:, d:]
+    return M
 
 
 def rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
+def random_exponent(rng, d, c, zero_w=False):
+    W = np.zeros((d, d)) if zero_w else rng.standard_normal((d, d))
+    return DelayExponent(rng.standard_normal((d, d)), W, c)
+
+
+def test_delay_exponent_linear_operations_act_blockwise():
+    rng = np.random.default_rng(41)
+    d, lower = 2, delay_rows(4, 2)
+    S, T = random_exponent(rng, d, 0.3), random_exponent(rng, d, -0.7)
+    for got, ref in [(S + T, dense(S, lower) + dense(T, lower)),
+                     (S - T, dense(S, lower) - dense(T, lower)),
+                     (-S, -dense(S, lower)),
+                     (2.5 * S, 2.5 * dense(S, lower)),
+                     (S * 2.5, 2.5 * dense(S, lower)),
+                     (np.float64(-0.25) * S, -0.25 * dense(S, lower))]:
+        assert isinstance(got, DelayExponent)
+        np.testing.assert_allclose(dense(got, lower), ref, rtol=0, atol=1e-13)
+
+
+def test_delay_exponent_products_in_the_closed_cases():
+    rng = np.random.default_rng(42)
+    d, lower = 3, delay_rows(5, 3)
+    general = random_exponent(rng, d, 0.4)
+    top_only = random_exponent(rng, d, 0.0, zero_w=True)
+    no_shift = random_exponent(rng, d, 0.0)
+    for left, right in [(general, top_only), (top_only, general), (no_shift, general),
+                        (no_shift, top_only), (top_only, top_only)]:
+        got = left @ right
+        assert got.c == 0.0
+        ref = dense(left, lower) @ dense(right, lower)
+        np.testing.assert_allclose(dense(got, lower), ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def test_delay_exponent_rejects_products_outside_the_form():
+    rng = np.random.default_rng(43)
+    d = 2
+    general = random_exponent(rng, d, 0.4)
+    for right in [random_exponent(rng, d, 0.5),
+                  random_exponent(rng, d, 0.0),
+                  random_exponent(rng, d, 0.5, zero_w=True)]:
+        with pytest.raises(ValueError):
+            general @ right
+
+
 @pytest.mark.parametrize("order", [2, 3])
 def test_intermediates_keep_delay_pattern(order):
     # a state-dependent evaluator with the discretized-delay pattern: the
     # structured action must accept every exponent the step builds and
-    # agree with the dense exponential on it
+    # agree with the dense exponential on it, and each exponent must be
+    # the one the dense scheme builds from the assembled matrices
     rng = np.random.default_rng(order + 77)
     d, N = 2, 3
     lower = delay_rows(N, d)
     n = lower.shape[1]
     structured = BlockTriangularExpmv(lower, d)
-    seen = []
+    seen, seen_dense = [], []
 
     def expmv(T, y):
         got = structured(T, y)
-        assert rel_err(got, expm(T) @ y) <= 1e-13
-        seen.append(T)
+        assert rel_err(got, expm(dense(T, lower)) @ y) <= 1e-13
+        seen.append(dense(T, lower))
         return got
+
+    def dense_expmv(M, y):
+        seen_dense.append(M)
+        return expm(M) @ y
+
+    def top(y):
+        return np.array([[0.0, 1.0], [-1.0 - 0.1 * y[-1] ** 2, 0.0]])
 
     def A(y):
         M = np.zeros((n, n))
-        M[:d, :d] = np.array([[0.0, 1.0], [-1.0 - 0.1 * y[-1] ** 2, 0.0]])
+        M[:d, :d] = top(y)
         M[d:, :] = lower
         return M
 
     y0 = rng.standard_normal(n) * 0.2
-    out = nonlinear_magnus_step(A, 0.05, y0, order, expmv=expmv)
+    out = nonlinear_magnus_step(lambda y: DelayExponent(top(y), np.eye(d), 1.0),
+                                0.05, y0, order, expmv=expmv)
     assert np.isfinite(out).all()
     assert len(seen) == {2: 2, 3: 4}[order]
-    assert all(structure_check(T, d) for T in seen)
-    dense = nonlinear_magnus_step(A, 0.05, y0, order)
-    assert rel_err(out, dense) <= 1e-13
+    ref = nonlinear_magnus_step(A, 0.05, y0, order, expmv=dense_expmv)
+    assert len(seen_dense) == len(seen)
+    for T, M in zip(seen, seen_dense):
+        assert not M[:d, d:].any()
+        assert np.abs(T - M).max() <= 1e-13 * np.abs(M).max()
+    assert rel_err(out, ref) <= 1e-13
 
 
-def record_actions(monkeypatch):
-    """Route every structured action through a recorder of (T, y, result)."""
+def record_actions(monkeypatch, lower):
+    """Route every structured action through a recorder of (dense T, y, result)."""
     calls = []
     action = BlockTriangularExpmv.__call__
 
     def recorded(self, T, y):
         out = action(self, T, y)
-        calls.append((np.array(T), np.array(y), out))
+        calls.append((dense(T, lower), np.array(y), out))
         return out
     monkeypatch.setattr(BlockTriangularExpmv, "__call__", recorded)
     return calls
@@ -134,8 +179,8 @@ def record_actions(monkeypatch):
 ])
 def test_structured_action_matches_dense_on_solve_exponents(monkeypatch, name, N, M,
                                                             order, t_final):
-    calls = record_actions(monkeypatch)
     problem = builtin_problem(name).problem
+    calls = record_actions(monkeypatch, delay_rows(N, problem.d, problem.tau))
     solve(problem, N, M, order, t_final)
     assert len(calls) >= {2: 2, 3: 4}[order] * M * int(t_final / problem.tau)
     worst = max(rel_err(out, expm(T) @ y) for T, y, out in calls)
@@ -162,13 +207,10 @@ def test_structured_action_matches_scipy_for_large_top_block(norm):
         P = sign * population_matrix(rng, d)
         P *= norm / np.abs(P).sum(axis=0).max()
         S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
-        T = np.zeros((n, n))
-        T[:d, :d] = P
-        T[d:, :d] = h * lower[:, :d] @ S
-        T[d:, d:] = h * lower[:, d:]
+        T = DelayExponent(P, h * S, h)
         y = rng.standard_normal(n)
         got = BlockTriangularExpmv(lower, d)(T, y)
-        assert rel_err(got, linalg.expm(T) @ y) <= 1e-12
+        assert rel_err(got, linalg.expm(dense(T, lower)) @ y) <= 1e-12
 
 
 def test_stiff_top_block_squares_instead_of_substepping():
@@ -182,15 +224,12 @@ def test_stiff_top_block_squares_instead_of_substepping():
     n = lower.shape[1]
     P = population_matrix(rng, d)
     P *= 1e4 / np.abs(P).sum(axis=0).max()
-    T = np.zeros((n, n))
-    T[:d, :d] = P
-    T[d:, :d] = h * lower[:, :d] @ (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
-    T[d:, d:] = h * lower[:, d:]
+    T = DelayExponent(P, h * (np.eye(d) + 0.3 * rng.standard_normal((d, d))), h)
     y = rng.standard_normal(n)
     action = BlockTriangularExpmv(lower, d)
     got = action(T, y)
     assert [m for _, m in action._tables] == [2 ** 14]
-    assert rel_err(got, linalg.expm(T) @ y) <= 1e-11
+    assert rel_err(got, linalg.expm(dense(T, lower)) @ y) <= 1e-11
 
 
 def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
@@ -199,17 +238,19 @@ def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
     built = []
     table = BlockTriangularExpmv._table
 
-    def spy(self, key, R, c, m):
-        if (key, m) not in self._tables:
+    def spy(self, c, m):
+        if (c, m) not in self._tables:
             built.append((c, m))
-        return table(self, key, R, c, m)
+        return table(self, c, m)
     monkeypatch.setattr(BlockTriangularExpmv, "_table", spy)
     fast = solve(problem, 20, 20, 3, 10.37)
     assert sorted(c for c, _ in built) == pytest.approx([0.023125, 0.025, 0.04625, 0.05])
     assert all(m == 1 for _, m in built)
-    monkeypatch.setattr(BlockTriangularExpmv, "__call__", lambda self, T, y: expm(T) @ y)
-    dense = solve(problem, 20, 20, 3, 10.37)
-    for got, ref in zip(fast.states, dense.states):
+    lower = delay_rows(20, problem.d, problem.tau)
+    monkeypatch.setattr(BlockTriangularExpmv, "__call__",
+                        lambda self, T, y: expm(dense(T, lower)) @ y)
+    dense_run = solve(problem, 20, 20, 3, 10.37)
+    for got, ref in zip(fast.states, dense_run.states):
         assert rel_err(got, ref) <= 1e-12
 
 
@@ -217,30 +258,22 @@ def test_structured_action_rejects_broken_invariant():
     d, h = 3, 0.05
     lower = delay_rows(6, d)
     n = lower.shape[1]
-    T = np.zeros((n, n))
-    T[:d, :d] = [[-0.1, 0.0, 0.0], [0.1, -0.05, 0.0], [0.0, 0.05, 0.0]]
-    T[d:] = h * lower
+    P = np.array([[-0.1, 0.0, 0.0], [0.1, -0.05, 0.0], [0.0, 0.05, 0.0]])
+    W = h * np.eye(d)
     y = np.linspace(1.0, 2.0, n)
     action = BlockTriangularExpmv(lower, d)
-    action(T, y)
+    action(DelayExponent(P, W, h), y)
 
-    def broken(index, value):
-        bad = T.copy()
-        bad[index] = value
-        return bad
+    def broken(block, index, value):
+        bad = {"P": P.copy(), "W": W.copy()}
+        bad[block][index] = value
+        return DelayExponent(bad["P"], bad["W"], h)
 
-    noise = np.random.default_rng(3).standard_normal((n - d, n - d))
-    cases = [
-        broken((0, n - 1), 1e-3),                       # nonzero top-right block
-        broken((n - 1, n - 1), 1.5 * T[n - 1, n - 1]),  # R not a multiple of L22
-        broken((slice(d, None), slice(d, None)), noise),
-        broken((d, 0), T[d, 0] + 1.0),                  # X not L21 @ S
-        broken((0, 0), np.nan),
-    ]
+    cases = [broken("P", (0, 0), np.nan), broken("P", (1, 2), np.inf),
+             broken("W", (2, 1), np.nan), broken("W", (0, 0), -np.inf)]
+    cases += [DelayExponent(P, W, c) for c in (0.0, -0.0, np.nan, np.inf, -np.inf)]
     for bad in cases:
         with pytest.raises(ValueError):
             action(bad, y)
         with pytest.raises(ValueError):
             BlockTriangularExpmv(lower, d)(bad, y)
-    with pytest.raises(ValueError):
-        action(T[:-d, :-d], y[:-d])
