@@ -16,6 +16,7 @@ with the same configuration produce byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -253,16 +254,14 @@ def _format_rows(rows) -> list:
 
 
 def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
-    """Write the header block, the column line and the already formatted ``body`` lines."""
-    lines = [f"# {key} = {value}" for key, value in header_pairs]
-    lines.append(",".join(columns))
-    lines.extend(body)
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the header block and the column line, then each already formatted
+    ``body`` text (one or more lines) as it comes, to ``cfg.out`` or stdout."""
+    head = "".join(f"# {key} = {value}\n" for key, value in header_pairs)
+    with (open(cfg.out, "w", encoding="utf-8") if cfg.out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(head + ",".join(columns) + "\n")
+        for text in body:
+            handle.write(text + "\n")
 
 
 # One solve row; renders exactly as _format_rows does (ints, then %.17g floats).
@@ -272,34 +271,29 @@ _WINDOW_ROW = "%%d,%d,%%.17g,%d,%%.17g"
 
 
 def _solve_lines(trajectory):
-    """CSV text of each stored window: rows (interval, node_index, time,
-    component_index, value) joined by newlines.
+    """Yield the CSV text of each interval's stored windows: rows (interval,
+    node_index, time, component_index, value) joined by newlines.
 
-    One ``%`` template covers a whole window, with the node and
-    component indices written into it, so a window is one format call
-    on its (interval, time, value) triples.
+    One ``%`` template covers a window, with the node and component
+    indices written into it, so an interval is one format call on the
+    (interval, time, value) triples of all its windows, taken from one
+    ``.tolist()``.  ``%d`` renders the interval number stored as a float
+    exactly as the integer.
     """
     d = trajectory.d
     theta = np.repeat(trajectory.grid.nodes_shifted, d)
-    template = "\n".join(_WINDOW_ROW % (j, c)
-                         for j in range(len(theta) // d) for c in range(d))
-    triples = [None] * (3 * len(theta))
-    lines = []
-
-    def emit(interval, window_end, state):
-        triples[0::3] = [interval] * len(theta)
-        triples[1::3] = (window_end + theta).tolist()
-        triples[2::3] = state.tolist()
-        lines.append(template % tuple(triples))
-
-    if trajectory.steps is not None:
-        for k, bucket in enumerate(trajectory.steps, start=1):
-            for t_step, state in bucket:
-                emit(k, t_step, state)
+    window = "\n".join(_WINDOW_ROW % (j, c) for j in range(len(theta) // d) for c in range(d))
+    if trajectory.steps is None:
+        intervals = [(trajectory.times[k:k + 1], trajectory.states[k][None])
+                     for k in range(1, len(trajectory.times))]
     else:
-        for k in range(1, len(trajectory.times)):
-            emit(k, float(trajectory.times[k]), trajectory.states[k])
-    return lines
+        intervals = trajectory.steps
+    for k, (times, states) in enumerate(intervals, start=1):
+        triples = np.empty((len(times), len(theta), 3))
+        triples[..., 0] = k
+        triples[..., 1] = times[:, None] + theta
+        triples[..., 2] = states
+        yield "\n".join([window] * len(times)) % tuple(triples.ravel().tolist())
 
 
 def cmd_solve(cfg: RunConfig, bench) -> int:

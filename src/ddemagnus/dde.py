@@ -18,8 +18,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linalg import NumericalFailure, eigenvalues
-from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix
+from .linalg import NumericalFailure, eigenvalues, stack_size
+# magnus_step and magnus_step_matrix are not called here, but stay bound:
+# bench/tracer.py wraps dde.magnus_step and dde.magnus_step_matrix and
+# reports a missing name as a broken target
+from .magnus_linear import (LINEAR_ORDERS, TopRows, check_convergence, gauss_rows,  # noqa: F401
+                            magnus_step, magnus_step_matrix, step_exponentials)
 from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
@@ -43,8 +47,8 @@ class LinearDDEProblem:
     ``A`` and ``B`` map a time to a (d, d) array, ``phi`` maps a time in
     [-tau, 0] to a length-d array (a scalar is fine for d = 1).  ``period``
     marks the problem as T-periodic for Floquet analysis.  When it is a
-    whole number of delays, :func:`solve` also reuses each step
-    exponential of the first period in the later ones; A and B are then
+    whole number of delays, :func:`solve` also reuses the step
+    propagators of the first period in the later ones; A and B are then
     compared at the start of every reused interval and one period
     earlier, and a mismatch fails the solve.  Periodicity is otherwise
     the caller's assertion.
@@ -164,23 +168,46 @@ class DiscretizedSystem:
         out[:, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d, "A(x)")
         return np.concatenate((out, self._lower))
 
-    def stepper(self, order: int, state: np.ndarray, memo: Optional[dict] = None):
-        """Step function ``(t, h, state) -> state`` of the given order for ``state``.
+    def stepper(self, order: int):
+        """Step function ``(h, state) -> state`` of the given order (quasilinear
+        problems): steps A(x) as the :class:`DelayExponent` (A(x), I_d, 1) and
+        applies every exponential through one :class:`BlockTriangularExpmv`
+        of the constant rows."""
+        d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
+        A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
+        return lambda h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
 
-        Linear problems step ``top_rows`` over the constant rows (a
-        :class:`TopRows`) with the vector scheme, or with its matrix form
-        for a 2-D ``state`` (fundamental matrices), and keep their step
-        exponentials in ``memo`` when one is given; quasilinear problems
-        step A(x) as the :class:`DelayExponent` (A(x), I_d, 1) and apply every
-        exponential through one :class:`BlockTriangularExpmv` of the constant rows.
+    def exponentials(self, order: int, start: float, h: float, n_steps: int, interval: int):
+        """Yield exp(Omega) of each of ``n_steps`` steps of size h from ``start``
+        (linear problems).
+
+        Steps are built and exponentiated in stacks of
+        :func:`~ddemagnus.linalg.stack_size` steps.  The convergence
+        safeguard warns at most once, naming ``interval``, the first step
+        over the bound and the largest estimate of its stack: a stack is a
+        single step at n = 122, and a warning per stack would print one line
+        per step.  A stack whose coefficients or exponential raise
+        ValueError is redone one step at a time, so the error is raised when
+        the failing step is requested, after every earlier one was yielded.
         """
-        if not isinstance(self.problem, LinearDDEProblem):
-            d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
-            A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
-            return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
         A = TopRows(self.top_rows, self._lower)
-        step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
-        return lambda t, h, y: step(A, t, h, y, order, memo=memo)
+        size = stack_size(self.big_dim)
+        lo, warned = 0, False
+        while lo < n_steps:
+            hi = min(lo + size, n_steps)
+            try:
+                rows = np.array([gauss_rows(A, start + k * h, h, order) for k in range(lo, hi)])
+                # stacklevel 4: past this generator, _propagate and solve or
+                # monodromy, their caller
+                warned = warned or check_convergence(A, rows, h, order, 4, interval, lo)
+                stack = step_exponentials(A, rows, h, order)
+            except ValueError:
+                if hi - lo == 1:
+                    raise
+                size = 1
+                continue
+            yield from stack
+            lo = hi
 
     def check_period(self, t: float, phase: float) -> None:
         """Raise ValueError unless A and B agree at t and at ``phase``, the
@@ -240,8 +267,9 @@ class Trajectory:
     ``states[k]`` is the big state vector at ``times[k]``; its block j
     approximates x(times[k] + theta_j), so it covers the window
     [times[k] - tau, times[k]].  ``states[0]`` holds the sampled initial
-    function.  Per-step states are kept in ``steps`` only when the solve
-    was asked to store them.
+    function.  When the solve was asked to store every step, ``steps``
+    holds one pair per interval: the step end times, shape (steps,), and
+    the states there, shape (steps, big_dim).
     """
 
     grid: ChebyshevGrid
@@ -324,41 +352,70 @@ def _interval_plan(first: int, t_final: float, tau: float, M: int,
     return plan
 
 
+def _nonfinite(g: int, k: int, state) -> NumericalFailure:
+    return NumericalFailure(f"non-finite state in interval {g}, step {k}",
+                            interval=g, step=k, partial=state)
+
+
 def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                steps: Optional[list] = None) -> list:
     """Advance a vector or matrix state across the planned intervals.
 
     Returns the state at each interval end.  When ``steps`` is a list,
-    each interval appends to it a bucket of (time, state) pairs, one per
-    step.  Intervals with a ``phase`` step at their reduced times through
-    one exponential memo, after a spot check of the period at their
-    start.  A coefficient or exponential that rejects its input (wrong
-    shape, non-finite entries), a failed spot check and a non-finite
-    result all raise NumericalFailure with the interval and step.
+    each interval appends to it the pair (step end times, states there).
+    An interval without a ``phase`` steps through its exponentials one
+    after the other (linear problems, see :meth:`DiscretizedSystem.exponentials`)
+    or through the quasilinear stepper.  The first interval of a
+    ``phase`` forms the cumulative propagators C_k = E_k ... E_1 of the
+    steps at its reduced times; every interval of that phase then gets
+    all of its states as one product of the stacked C_k with its start
+    state, after a spot check of the period at its start.  A coefficient
+    or exponential that rejects its input (wrong shape, non-finite
+    entries), a failed spot check and a non-finite state all raise
+    NumericalFailure with the interval and step.
     """
-    step = system.stepper(order, state)
-    shared = system.stepper(order, state, memo={})
+    linear = isinstance(system.problem, LinearDDEProblem)
+    step = None if linear else system.stepper(order)
+    cumulative = {}
     ends = []
-    for g, t0, length, _, n_steps, phase in plan:
-        h = length / n_steps
-        advance, start = (step, t0) if phase is None else (shared, phase)
-        if steps is not None:
-            steps.append([])
-        k = 0
-        try:
-            if start != t0:
-                system.check_period(t0, start)
-            for k in range(n_steps):
-                state = advance(start + k * h, h, state)
-                if not np.isfinite(state).all():
-                    raise NumericalFailure(f"non-finite state in interval {g}, step {k}",
-                                           interval=g, step=k, partial=state)
-                if steps is not None:
-                    steps[-1].append((t0 + (k + 1) * h, state))
-        except ValueError as exc:
-            raise NumericalFailure(f"{exc} in interval {g}, step {k}",
-                                   interval=g, step=k, partial=state) from exc
-        ends.append(state)
+    # a non-finite state raises NumericalFailure; numpy's overflow warnings
+    # would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, t0, length, _, n_steps, phase in plan:
+            h = length / n_steps
+            k = 0
+            try:
+                if phase is None:
+                    exponentials = system.exponentials(order, t0, h, n_steps, g) if linear else None
+                    states = None if steps is None else np.empty((n_steps,) + state.shape)
+                    for k in range(n_steps):
+                        state = next(exponentials) @ state if linear else step(h, state)
+                        if not np.isfinite(state).all():
+                            raise _nonfinite(g, k, state)
+                        if states is not None:
+                            states[k] = state
+                else:
+                    if phase != t0:
+                        system.check_period(t0, phase)
+                    if phase not in cumulative:
+                        exponentials = system.exponentials(order, phase, h, n_steps, g)
+                        C = np.empty((n_steps, system.big_dim, system.big_dim))
+                        for k in range(n_steps):
+                            C[k] = next(exponentials) @ C[k - 1] if k else next(exponentials)
+                        cumulative[phase] = C
+                    C = cumulative[phase]
+                    states = (C.reshape(-1, C.shape[-1]) @ state).reshape((n_steps,) + state.shape)
+                    finite = np.isfinite(states.reshape(n_steps, -1)).all(axis=1)
+                    if not finite.all():
+                        k = int(np.argmin(finite))
+                        raise _nonfinite(g, k, states[k])
+                    state = states[-1].copy()
+            except ValueError as exc:
+                raise NumericalFailure(f"{exc} in interval {g}, step {k}",
+                                       interval=g, step=k, partial=state) from exc
+            if steps is not None:
+                steps.append((t0 + np.arange(1, n_steps + 1) * h, states))
+            ends.append(state)
     return ends
 
 
@@ -373,8 +430,10 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     next.  If t_final is not a multiple of tau, the trailing partial
     interval of fractional length ``frac`` is covered by ceil(M * frac)
     equal steps ending exactly at t_final.  A linear problem whose period
-    is a whole number of delays reuses the step exponentials of its first
-    period in every later full interval (see :func:`_interval_plan`).
+    is a whole number of delays forms the step propagators of its first
+    period once and applies them to every later full interval (see
+    :func:`_interval_plan` and :func:`_propagate`).  ``store_steps`` keeps
+    every step's state in ``Trajectory.steps``.
 
     ``t_start``/``initial_state`` resume an integration from a stored
     window at a multiple of tau; by default the run starts at 0 from the

@@ -182,6 +182,50 @@ def test_solve_rows_render_as_the_generic_formatter():
     assert "\n".join(_solve_lines(traj)) == "\n".join(expected)
 
 
+@pytest.mark.parametrize("problem, argv", [
+    ("example1", ["--N", "4", "--M", "3", "--order", "2", "--t-final", "4.0"]),
+    ("mathieu", ["--N", "3", "--M", "2", "--order", "6", "--t-final", "14.0"]),
+])
+def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, problem, argv):
+    # every step of every interval (a trailing partial one too) through the
+    # per-interval % template, byte for byte the rows of _format_rows
+    out = tmp_path / "steps.csv"
+    assert run_cli(["solve", "--problem", problem, *argv, "--store-steps",
+                    "--out", str(out)], capsys)[0] == 0
+    traj = ddemagnus.solve(ddemagnus.builtin_problem(problem).problem, int(argv[1]),
+                           int(argv[3]), int(argv[5]), float(argv[7]), store_steps=True)
+    d, theta = traj.d, traj.grid.nodes_shifted
+    rows = [(k, j, float(t + theta[j]), c, float(state[j * d + c]))
+            for k, (times, states) in enumerate(traj.steps, start=1)
+            for t, state in zip(times, states)
+            for j in range(len(theta)) for c in range(d)]
+    assert len({row[0] for row in rows}) == 3
+    body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
+    assert body == "\n".join(_format_rows(rows)) + "\n"
+
+
+def test_failing_solve_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code, _, err = run_cli(["solve", "--problem", "mathieu", "--param", "delta=-4e6",
+                            "--N", "12", "--M", "1", "--order", "2", "--t-final", "12.566370",
+                            "--out", str(out)], capsys)
+    assert code == 1 and "numerical failure" in err
+    assert not out.exists()
+
+
+def test_convergence_of_an_unreused_solve(capsys):
+    # one period of example1: no interval reuses propagators, so every step
+    # is computed; order 6 and the M = 128 error as measured when added
+    code, out, _ = run_cli(["convergence", "--problem", "example1", "--N", "20",
+                            "--order", "6", "--M-list", "16,32,64,128",
+                            "--t-final", "6.2832"], capsys)
+    assert code == 0
+    header, columns, rows = parse_csv(out)
+    assert columns == ["M", "error", "local_order"] and header["metric"] == "solution"
+    assert float(header["fitted_order"]) >= 5.5
+    assert rows[-1][0] == "128" and float(rows[-1][1]) <= 5e-11
+
+
 def test_multipliers_output(tmp_path, capsys):
     out = tmp_path / "mult.csv"
     code, out_text, _ = run_cli(["multipliers", "--problem", "example1",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ddemagnus import (ChebyshevGrid, LinearDDEProblem, NumericalFailure,
                        eigenvalues, expm, magnus_step, monodromy, solve,
                        stability_verdict)
 from ddemagnus.dde import MonodromyResult, Trajectory
+from ddemagnus.linalg import stack_size
+from ddemagnus.magnus_linear import MagnusConvergenceWarning, TopRows
 
 SQRT2 = np.sqrt(2.0)
 
@@ -166,10 +169,11 @@ def test_solve_stores_steps_on_request():
     bench = builtin_problem("example1")
     tau = bench.problem.tau
     traj = solve(bench.problem, 6, 5, 2, tau, store_steps=True)
-    assert len(traj.steps) == 1 and len(traj.steps[0]) == 5
-    t_last, state_last = traj.steps[0][-1]
-    assert t_last == pytest.approx(tau)
-    np.testing.assert_array_equal(state_last, traj.final_state)
+    assert len(traj.steps) == 1
+    times, states = traj.steps[0]
+    assert times.shape == (5,) and states.shape == (5, 7)
+    assert times[-1] == pytest.approx(tau)
+    np.testing.assert_array_equal(states[-1], traj.final_state)
 
 
 def test_trajectory_interpolation_matches_exact_solution():
@@ -217,6 +221,18 @@ def test_nonfinite_coefficient_reports_location():
             run(nan_after(1.5, period=3.0))
         assert (info.value.interval, info.value.step) == (1, 2)
         assert "interval 1, step 2" in str(info.value)
+
+
+def test_nonfinite_coefficient_in_a_reused_phase_reports_location():
+    # period 1 = tau, so interval 0 forms the propagators every later
+    # interval reuses; A turns NaN past t = 0.5, first sampled by step 2
+    prob = LinearDDEProblem(
+        d=1, tau=1.0, A=lambda t: np.array([[np.sin(2.0 * np.pi * t) if t <= 0.5 else np.nan]]),
+        B=lambda t: np.array([[-1.0]]), phi=lambda t: np.array([1.0]), period=1.0)
+    with pytest.raises(NumericalFailure) as info:
+        solve(prob, 6, 4, 6, 3.0)
+    assert (info.value.interval, info.value.step) == (0, 2)
+    assert "coefficient A returned non-finite entries in interval 0, step 2" in str(info.value)
 
 
 def test_nonfinite_quasilinear_coefficient_reports_location():
@@ -285,6 +301,7 @@ def test_monodromy_matches_solve_over_partial_period():
 
 @pytest.mark.parametrize("name, N, M, t_final", [
     ("example1", 12, 16, 3 * 2 * np.pi + 0.3 * np.pi),   # 3 periods plus a partial interval
+    ("example1", 20, 64, 20 * 2 * np.pi),                # 20 periods: no drift in the C_k
     ("mathieu", 8, 8, 3 * 2 * np.pi),                    # p = 1: three delays
 ])
 def test_periodic_reuse_matches_uncached_solve(name, N, M, t_final):
@@ -292,11 +309,12 @@ def test_periodic_reuse_matches_uncached_solve(name, N, M, t_final):
     reused = solve(problem, N, M, 6, t_final, store_steps=True)
     direct = solve(dataclasses.replace(problem, period=None), N, M, 6, t_final,
                    store_steps=True)
-    pairs = [(a, b) for ra, rb in zip(reused.steps, direct.steps) for a, b in zip(ra, rb)]
-    assert len(pairs) == sum(len(bucket) for bucket in direct.steps)
-    for (t_a, state_a), (t_b, state_b) in pairs:
-        assert t_a == t_b
-        assert np.abs(state_a - state_b).max() <= 1e-12 * np.abs(state_b).max()
+    assert len(reused.steps) == len(direct.steps)
+    for (t_a, states_a), (t_b, states_b) in zip(reused.steps, direct.steps):
+        np.testing.assert_array_equal(t_a, t_b)
+        assert states_a.shape == states_b.shape == (len(t_b), problem.d * (N + 1))
+        for state_a, state_b in zip(states_a, states_b):
+            assert np.abs(state_a - state_b).max() <= 1e-12 * np.abs(state_b).max()
 
 
 def test_periodic_reuse_evaluates_first_period_only():
@@ -314,6 +332,50 @@ def test_periodic_reuse_evaluates_first_period_only():
         solve(problem, 8, 8, 6, periods * problem.period)
         counts.append(len(calls))
     assert counts[1] < 2 * counts[0]
+
+
+def test_overflow_in_a_reused_interval_reports_the_uncached_location():
+    # x' = 20 x(t) + sin(2 pi t) x(t - 1): the state passes 1.8e308 near t = 35,
+    # far into the intervals that reuse the first period's propagators
+    problem = LinearDDEProblem(d=1, tau=1.0, A=lambda t: np.array([[20.0]]),
+                               B=lambda t: np.array([[np.sin(2.0 * np.pi * t)]]),
+                               phi=lambda t: np.array([1.0]), period=2.0)
+    located = []
+    for period in (2.0, None):
+        with pytest.raises(NumericalFailure) as info:
+            solve(dataclasses.replace(problem, period=period), 6, 16, 4, 50.0)
+        assert "non-finite state" in str(info.value)
+        located.append((info.value.interval, info.value.step))
+    assert located[0] == located[1]
+    assert located[0][0] >= 30 and 0 < located[0][1] < 16
+
+
+def test_convergence_warning_names_its_step_and_the_caller():
+    # A = -2000 t crosses the safeguard in the second of four 64-step stacks
+    # of interval 0: one warning for the interval, naming the first step over
+    # the bound (the one where magnus_step starts to warn), from this file
+    problem = LinearDDEProblem(d=1, tau=1.0, A=lambda t: np.array([[-2000.0 * t]]),
+                               B=lambda t: np.array([[0.0]]),
+                               phi=lambda t: np.array([1.0]), period=1.0)
+    system = discretize(problem, 20)
+    assert stack_size(system.big_dim) == 64
+    rows = TopRows(system.top_rows, system._lower)
+    first = None
+    for k in range(256):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            magnus_step(rows, k / 256, 1 / 256, system.phi_vector, 6)
+        if caught and first is None:
+            first = k
+            assert caught[0].filename == __file__
+    assert first is not None and first > 64
+    for run in (lambda: solve(problem, 20, 256, 6, 1.0), lambda: monodromy(problem, 20, 256, 6)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [w.category for w in caught] == [MagnusConvergenceWarning]
+        assert f"in interval 0, step {first}:" in str(caught[0].message)
+        assert caught[0].filename == __file__
 
 
 def test_wrong_period_fails_the_spot_check():
