@@ -13,17 +13,15 @@ the solution loses smoothness.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linalg import NumericalFailure, eigenvalues, stack_size
-# magnus_step and magnus_step_matrix are not called here, but stay bound:
-# bench/tracer.py wraps dde.magnus_step and dde.magnus_step_matrix and
-# reports a missing name as a broken target
-from .magnus_linear import (LINEAR_ORDERS, TopRows, check_convergence, gauss_rows,  # noqa: F401
-                            magnus_step, magnus_step_matrix, step_exponentials)
+from .linalg import NumericalFailure, eigenvalues
+from .magnus_linear import (LINEAR_ORDERS, MagnusConvergenceWarning, TopRows,
+                            collected_safeguard, magnus_step, magnus_step_matrix)
 from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
@@ -168,46 +166,23 @@ class DiscretizedSystem:
         out[:, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d, "A(x)")
         return np.concatenate((out, self._lower))
 
-    def stepper(self, order: int):
-        """Step function ``(h, state) -> state`` of the given order (quasilinear
-        problems): steps A(x) as the :class:`DelayExponent` (A(x), I_d, 1) and
-        applies every exponential through one :class:`BlockTriangularExpmv`
-        of the constant rows."""
-        d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
-        A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
-        return lambda h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
+    def stepper(self, order: int, state: np.ndarray):
+        """Step function ``(t, h, state) -> state`` of the given order for ``state``.
 
-    def exponentials(self, order: int, start: float, h: float, n_steps: int, interval: int):
-        """Yield exp(Omega) of each of ``n_steps`` steps of size h from ``start``
-        (linear problems).
-
-        Steps are built and exponentiated in stacks of
-        :func:`~ddemagnus.linalg.stack_size` steps.  The convergence
-        safeguard warns at most once, naming ``interval``, the first step
-        over the bound and the largest estimate of its stack: a stack is a
-        single step at n = 122, and a warning per stack would print one line
-        per step.  A stack whose coefficients or exponential raise
-        ValueError is redone one step at a time, so the error is raised when
-        the failing step is requested, after every earlier one was yielded.
+        Linear problems step ``top_rows`` over the constant rows (a
+        :class:`TopRows`) with :func:`magnus_step`, or with
+        :func:`magnus_step_matrix` for a 2-D ``state`` (fundamental
+        matrices); quasilinear problems step A(x) as the
+        :class:`DelayExponent` (A(x), I_d, 1) and apply every exponential
+        through one :class:`BlockTriangularExpmv` of the constant rows.
         """
+        if not isinstance(self.problem, LinearDDEProblem):
+            d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
+            A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
+            return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
         A = TopRows(self.top_rows, self._lower)
-        size = stack_size(self.big_dim)
-        lo, warned = 0, False
-        while lo < n_steps:
-            hi = min(lo + size, n_steps)
-            try:
-                rows = np.array([gauss_rows(A, start + k * h, h, order) for k in range(lo, hi)])
-                # stacklevel 4: past this generator, _propagate and solve or
-                # monodromy, their caller
-                warned = warned or check_convergence(A, rows, h, order, 4, interval, lo)
-                stack = step_exponentials(A, rows, h, order)
-            except ValueError:
-                if hi - lo == 1:
-                    raise
-                size = 1
-                continue
-            yield from stack
-            lo = hi
+        step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
+        return lambda t, h, y: step(A, t, h, y, order)
 
     def check_period(self, t: float, phase: float) -> None:
         """Raise ValueError unless A and B agree at t and at ``phase``, the
@@ -357,25 +332,38 @@ def _nonfinite(g: int, k: int, state) -> NumericalFailure:
                             interval=g, step=k, partial=state)
 
 
+def _warn_safeguard(hits, g: int, start: float, h: float) -> None:
+    """One MagnusConvergenceWarning for the steps of interval g in ``hits``
+    (see :func:`~ddemagnus.magnus_linear.collected_safeguard`): the first
+    step over the bound and the largest estimate, from the caller of solve
+    or monodromy."""
+    if hits:
+        first = round((hits[0][0] - start) / h)
+        warnings.warn(
+            f"step size may exceed the Magnus convergence safeguard in interval {g}, "
+            f"step {first}: h * ||A(midpoint)||_2 ~ {max(e for _, e in hits):.3g} >= pi",
+            MagnusConvergenceWarning, stacklevel=4)  # past _propagate and solve/monodromy
+
+
 def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                steps: Optional[list] = None) -> list:
     """Advance a vector or matrix state across the planned intervals.
 
     Returns the state at each interval end.  When ``steps`` is a list,
     each interval appends to it the pair (step end times, states there).
-    An interval without a ``phase`` steps through its exponentials one
-    after the other (linear problems, see :meth:`DiscretizedSystem.exponentials`)
-    or through the quasilinear stepper.  The first interval of a
-    ``phase`` forms the cumulative propagators C_k = E_k ... E_1 of the
-    steps at its reduced times; every interval of that phase then gets
-    all of its states as one product of the stacked C_k with its start
-    state, after a spot check of the period at its start.  A coefficient
-    or exponential that rejects its input (wrong shape, non-finite
-    entries), a failed spot check and a non-finite state all raise
-    NumericalFailure with the interval and step.
+    An interval without a ``phase`` takes its steps one after the other
+    (:meth:`DiscretizedSystem.stepper`).  The first interval of a
+    ``phase`` steps the cumulative propagators C_k = E_k ... E_1 of its
+    steps at the reduced times, a matrix state from the identity; every
+    interval of that phase then gets all of its states as one product of
+    the stacked C_k with its start state, after a spot check of the period
+    at its start.  The convergence safeguard warns at most once per
+    stepped interval (:func:`_warn_safeguard`).  A coefficient or
+    exponential that rejects its input (wrong shape, non-finite entries),
+    a failed spot check and a non-finite state all raise NumericalFailure
+    with the interval and step.
     """
-    linear = isinstance(system.problem, LinearDDEProblem)
-    step = None if linear else system.stepper(order)
+    step = system.stepper(order, state)
     cumulative = {}
     ends = []
     # a non-finite state raises NumericalFailure; numpy's overflow warnings
@@ -386,22 +374,26 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
             k = 0
             try:
                 if phase is None:
-                    exponentials = system.exponentials(order, t0, h, n_steps, g) if linear else None
                     states = None if steps is None else np.empty((n_steps,) + state.shape)
-                    for k in range(n_steps):
-                        state = next(exponentials) @ state if linear else step(h, state)
-                        if not np.isfinite(state).all():
-                            raise _nonfinite(g, k, state)
-                        if states is not None:
-                            states[k] = state
+                    with collected_safeguard() as hits:
+                        for k in range(n_steps):
+                            state = step(t0 + k * h, h, state)
+                            if not np.isfinite(state).all():
+                                raise _nonfinite(g, k, state)
+                            if states is not None:
+                                states[k] = state
+                    _warn_safeguard(hits, g, t0, h)
                 else:
                     if phase != t0:
                         system.check_period(t0, phase)
                     if phase not in cumulative:
-                        exponentials = system.exponentials(order, phase, h, n_steps, g)
-                        C = np.empty((n_steps, system.big_dim, system.big_dim))
-                        for k in range(n_steps):
-                            C[k] = next(exponentials) @ C[k - 1] if k else next(exponentials)
+                        eye = np.eye(system.big_dim)
+                        propagator = system.stepper(order, eye)
+                        C = np.empty((n_steps,) + eye.shape)
+                        with collected_safeguard() as hits:
+                            for k in range(n_steps):
+                                C[k] = propagator(phase + k * h, h, C[k - 1] if k else eye)
+                        _warn_safeguard(hits, g, phase, h)
                         cumulative[phase] = C
                     C = cumulative[phase]
                     states = (C.reshape(-1, C.shape[-1]) @ state).reshape((n_steps,) + state.shape)

@@ -7,8 +7,7 @@ of Bader, Blanes and Casas (Mathematics 7:1174, 2019), which makes each
 exponential noticeably cheaper than a Pade-based routine at the same
 accuracy.  At degrees 12 and 18 the q_i of the scheme come from one
 product of the coefficient table with the stacked powers of the scaled
-input, and the squarings run in two reused buffers.  The same products
-run over a (B, n, n) stack of inputs.
+input, and the squarings run in two reused n x n buffers.
 """
 
 from __future__ import annotations
@@ -72,15 +71,9 @@ _BBC_TABLES = {
     ]),
 }
 
-# Bytes of the degree-18 Taylor block of one stacked exponential chunk; see
-# stack_size.
-_STACK_BYTES = 2 * 2 ** 20
-
-
 def _taylor_exp(A: np.ndarray, degree: int) -> np.ndarray:
-    """Taylor polynomial of exp(A) of degree 1, 2, 4 or 8, ||A||_1 <= theta(degree),
-    for a matrix or a stack of them."""
-    n = A.shape[-1]
+    """Taylor polynomial of exp(A) of degree 1, 2, 4 or 8, ||A||_1 <= theta(degree)."""
+    n = A.shape[0]
     eye = np.eye(n)
     if degree == 1:
         return eye + A
@@ -105,96 +98,74 @@ def _taylor_exp(A: np.ndarray, degree: int) -> np.ndarray:
     raise ValueError(f"unsupported Taylor degree {degree}")
 
 
-def _scaled_taylor_exp(A: np.ndarray, degree: int, norm: float, out: np.ndarray) -> None:
-    """exp(A) of a (B, n, n) stack into ``out``: the 2^s-th power of the degree-12
-    or -18 polynomial at A / 2^s, with s from the largest 1-norm ``norm``.
+def _scaled_taylor_exp(A: np.ndarray, degree: int, norm: float) -> np.ndarray:
+    """exp(A) as the 2^s-th power of the degree-12 or -18 polynomial at A / 2^s.
 
     One block holds the powers of A / 2^s, then the q_i, formed by one
     product with the coefficient table; the combining products and the
-    squarings alternate between a spent power and ``out``.  One block,
-    not one array per term, keeps glibc from handing the pages back to
-    the system after each call and faulting them in again.
+    squarings alternate between a spent power and the returned array.
+    One block, not one array per term, keeps glibc from handing the pages
+    back to the system after each call and faulting them in again.
     """
     s = max(0, int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1][1]))))
     b = _BBC_TABLES[degree]
     m, k = b.shape[0], b.shape[1] - 1
-    size, n = A.shape[0], A.shape[-1]
-    block = np.empty((k + m, size, n, n))
+    n = A.shape[0]
+    block = np.empty((k + m, n, n))
     powers, q = block[:k], block[k:]
     np.multiply(A, 0.5 ** s, out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
     np.matmul(powers[0], powers[1], out=powers[2])
     if k == 4:
         np.matmul(powers[2], powers[2], out=powers[3])
-    np.matmul(b[:, 1:], powers.reshape(k, size * n * n), out=q.reshape(m, size * n * n))
-    q.reshape(m, size, n * n)[..., ::n + 1] += b[:, :1, None]
+    np.matmul(b[:, 1:], powers.reshape(k, n * n), out=q.reshape(m, n * n))
+    q.reshape(m, n * n)[:, ::n + 1] += b[:, :1]
     qaux, work = powers[0], powers[1]  # the powers are spent once q is formed
     np.matmul(q[3], q[-1], out=qaux)
     qaux += q[2]
     q[1] += qaux
-    X, Y = (out, work) if s % 2 == 0 else (work, out)
+    result = np.empty((n, n))
+    X, Y = (result, work) if s % 2 == 0 else (work, result)
     np.matmul(q[1], qaux, out=X)
     X += q[0]
     for _ in range(s):
         np.matmul(X, X, out=Y)
         X, Y = Y, X
+    return X
 
 
-def stack_size(n: int) -> int:
-    """Matrices per chunk of a stacked n x n exponential: the largest power of
-    two whose degree-18 block (9 n x n arrays per matrix) fits
-    ``_STACK_BYTES``, at least 1 (64 at n = 21, 1 at n = 122)."""
-    return 1 << max(0, (_STACK_BYTES // (72 * n * n)).bit_length() - 1)
-
-
-def _validated_square(M, name: str, stacked: bool = False) -> np.ndarray:
+def _validated_square(M, name: str) -> np.ndarray:
     A = np.asarray(M, dtype=float)
-    if A.ndim not in ((2, 3) if stacked else (2,)) or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"{name} expects a square matrix"
-                         f"{' or a stack of them' if stacked else ''}, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} expects a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} expects finite entries")
     return A
 
 
-def _expm_chunk(A: np.ndarray, out: np.ndarray) -> None:
-    # the whole chunk takes the degree and squarings of its largest 1-norm
-    norm = np.abs(A).sum(axis=1).max()
-    if not np.isfinite(norm):
-        raise ValueError(f"expm needs a finite 1-norm to scale its input, got {norm}")
-    degree = next((d for d, theta in _TAYLOR_THETA if norm <= theta), 18)
-    if A.shape[-1] == 1:
-        np.exp(A, out=out)
-    elif degree <= 8:
-        out[...] = _taylor_exp(A, degree)
-    else:
-        _scaled_taylor_exp(A, degree, norm, out)
-    if not np.isfinite(out).all():
-        raise ValueError(f"expm result is not finite (input 1-norm {norm:.6g})")
-
-
 def expm(M) -> np.ndarray:
-    """Matrix exponential of a real square matrix, or of each matrix of a
-    (B, n, n) stack.
+    """Matrix exponential of a real square matrix.
 
     Scaling and squaring with a degree-adapted Taylor polynomial: the
     degree is the smallest of {1, 2, 4, 8, 12, 18} whose accuracy
     threshold covers ``||M||_1``, and the squaring count is
-    max(0, ceil(log2(||M||_1 / theta_18))).  A stack is exponentiated in
-    chunks of :func:`stack_size` matrices that share the degree and
-    squaring count of their largest 1-norm, so a matrix can get more
-    Taylor terms or squarings than it would alone; a 2-D input is a
-    chunk of one.  Raises ValueError, without numpy's overflow warnings,
-    when a 1-norm or the result is not finite.
+    max(0, ceil(log2(||M||_1 / theta_18))).  Raises ValueError, without
+    numpy's overflow warnings, when ``||M||_1`` or the result is not finite.
     """
-    A = _validated_square(M, "expm", stacked=True)
-    n = A.shape[-1]
-    X = np.empty(A.shape)
-    stack, out = A.reshape(-1, n, n), X.reshape(-1, n, n)
-    size = stack_size(n)
+    A = _validated_square(M, "expm")
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(stack), size):
-            _expm_chunk(stack[lo:lo + size], out[lo:lo + size])
+        norm = np.abs(A).sum(axis=0).max()
+        if not np.isfinite(norm):
+            raise ValueError(f"expm needs a finite 1-norm to scale its input, got {norm}")
+        degree = next((d for d, theta in _TAYLOR_THETA if norm <= theta), 18)
+        if A.shape[0] == 1:
+            X = np.exp(A)
+        elif degree <= 8:
+            X = _taylor_exp(A, degree)
+        else:
+            X = _scaled_taylor_exp(A, degree, norm)
+    if not np.isfinite(X).all():
+        raise ValueError(f"expm result is not finite (input 1-norm {norm:.6g})")
     return X
 
 

@@ -3,8 +3,6 @@
 Each step builds a truncated Magnus exponent from Gauss-Legendre
 evaluations of A (one, two or three points) plus the few commutators the
 order requires, then advances the state through one matrix exponential.
-The exponents of many steps are built in one pass, step axis first, and
-exponentiated as one stack; a single step is a stack of one.
 For constant A every scheme reduces to exp(h*A), i.e. the step is exact
 on autonomous problems regardless of h.  A is evaluated as its varying
 top rows over constant lower rows (:class:`TopRows`), the structure of
@@ -15,6 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import partial
 
 import numpy as np
@@ -27,6 +27,10 @@ LINEAR_ORDERS = (2, 4, 6)
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
+
+# (t, h ||A||_2 estimate) of each step over the convergence safeguard while
+# a caller collects them (collected_safeguard); None warns at each such step
+_SAFEGUARD_HITS: ContextVar = ContextVar("safeguard_hits", default=None)
 
 # Gauss-Legendre nodes on [0, 1] of each order's quadrature
 _NODES = {2: (0.5,),
@@ -65,74 +69,69 @@ def _eval_matrix(A, time: float) -> np.ndarray:
     return M
 
 
-def gauss_rows(A: TopRows, t: float, h: float, order: int) -> np.ndarray:
-    """Top rows of A at the Gauss points of the step from t to t + h,
-    stacked (points, d, n)."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    if order not in _NODES:
-        raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
-    return np.array([A.top(t + c * h) for c in _NODES[order]])
+@contextmanager
+def collected_safeguard():
+    """Collect the convergence-safeguard hits of the steps taken inside the
+    block as (step start, h ||A||_2 estimate) pairs, in step order, instead
+    of warning at each: a driver can then warn once for many steps."""
+    hits = []
+    token = _SAFEGUARD_HITS.set(hits)
+    try:
+        yield hits
+    finally:
+        _SAFEGUARD_HITS.reset(token)
 
 
-def check_convergence(A: TopRows, rows: np.ndarray, h: float, order: int,
-                      stacklevel: int, interval=None, first: int = 0) -> bool:
-    """Warn once, and return True, if any of a stack of steps (``rows`` as
-    for :func:`_omega`) has h ||A(midpoint)||_2 >= pi.
-
-    The 2-norm of [top; lower] is estimated as sqrt(norm_1 * norm_inf) to
-    avoid an SVD; order 4 has no midpoint evaluation and takes the
-    Gauss-point mean.  With ``interval`` given, the message names it and
-    the first step over the bound, counting the stack from step ``first``.
-    ``stacklevel`` counts from the caller, as for :func:`warnings.warn`.
-    """
-    mid = 0.5 * (rows[:, 0] + rows[:, 1]) if order == 4 else rows[:, rows.shape[1] // 2]
-    abs_top = np.abs(mid)
-    norm_1 = (A.lower_col_sums + abs_top.sum(axis=1)).max(axis=1)
-    norm_inf = np.maximum(A.lower_row_max, abs_top.sum(axis=2).max(axis=1))
-    estimates = h * np.sqrt(norm_1 * norm_inf)
-    over = np.flatnonzero(estimates >= math.pi)
-    if over.size:
-        where = "" if interval is None else f" in interval {interval}, step {first + over[0]}"
+def _check_convergence_bound(A: TopRows, top: np.ndarray, t: float, h: float) -> None:
+    # 2-norm of [top; lower] estimated as sqrt(norm_1 * norm_inf) to avoid an SVD
+    abs_top = np.abs(top)
+    est = h * math.sqrt((A.lower_col_sums + abs_top.sum(axis=0)).max()
+                        * max(A.lower_row_max, abs_top.sum(axis=1).max()))
+    if est >= math.pi:
+        hits = _SAFEGUARD_HITS.get()
+        if hits is not None:
+            hits.append((t, est))
+            return
+        # stacklevel 4: past _omega and magnus_step(_matrix), their caller
         warnings.warn(
-            f"step size may exceed the Magnus convergence safeguard{where}: "
-            f"h * ||A(midpoint)||_2 ~ {estimates.max():.3g} >= pi",
-            MagnusConvergenceWarning, stacklevel=stacklevel + 1)
-    return bool(over.size)
+            f"step size may exceed the Magnus convergence safeguard: "
+            f"h * ||A(midpoint)||_2 ~ {est:.3g} >= pi",
+            MagnusConvergenceWarning, stacklevel=4)
 
 
-def _omega(A: TopRows, rows: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Truncated Magnus exponents of a stack of steps of size h, (steps, n, n),
-    from their Gauss-point top rows ``rows`` (steps, points, d, n).
+def _omega(A: TopRows, t: float, h: float, order: int) -> np.ndarray:
+    """Truncated Magnus exponent for one step from t to t + h.
 
     The Gauss-point differences (order 4's a2 - a1, order 6's alpha2 =
     P x2 and alpha3 = P x3) live in the top d rows, so each commutator is
     taken in factored form, [Y, P X] = Y[:, :d] X - P (X Y) and
     [Y, U V] = (Y U) V - U (V Y), at O(d n^2) instead of O(n^3).
     """
-    steps, _, d, n = rows.shape
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    if order not in _NODES:
+        raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
+    rows = [A.top(t + c * h) for c in _NODES[order]]
+    d, n = rows[0].shape
     lower = np.empty((0, n)) if A.lower is None else A.lower
-
-    def stacked(top, below):
-        # [top; below] of every step, ``below`` shared by all of them
-        out = np.empty((steps, n, n))
-        out[:, :d], out[:, d:] = top, below
-        return out
-
     if order == 2:
-        return stacked(h * rows[:, 0], h * lower)
+        _check_convergence_bound(A, rows[0], t, h)
+        return np.concatenate((h * rows[0], h * lower))
     if order == 4:
-        r1, r2 = rows[:, 0], rows[:, 1]
+        r1, r2 = rows
+        # the Gauss-point mean stands in for A(midpoint): no third evaluation
+        _check_convergence_bound(A, 0.5 * (r1 + r2), t, h)
         # [a1, a2] = [a1, a2 - a1] and a2 - a1 = P (r2 - r1)
-        a1, diff = stacked(r1, lower), r2 - r1
+        a1, diff = np.concatenate((r1, lower)), r2 - r1
         scale = h * h * _SQRT3 / 12.0
-        out = stacked(0.5 * h * (r1 + r2), h * lower)
-        out -= scale * (a1[..., :d] @ diff)
-        out[:, :d] += scale * (diff @ a1)
+        out = np.concatenate((0.5 * h * (r1 + r2), h * lower))
+        out -= scale * (a1[:, :d] @ diff)
+        out[:d] += scale * (diff @ a1)
         return out
-    r1, r2, r3 = rows[:, 0], rows[:, 1], rows[:, 2]
-    alpha1 = stacked(h * r2, h * lower)
-    a1d = alpha1[..., :d]
+    r1, r2, r3 = rows
+    _check_convergence_bound(A, r2, t, h)
+    alpha1 = np.concatenate((h * r2, h * lower))
+    a1d = alpha1[:, :d]
     x2 = (_SQRT15 * h / 3.0) * (r3 - r1)           # alpha2 = P x2
     x3 = (10.0 * h / 3.0) * (r3 - 2.0 * r2 + r1)   # alpha3 = P x3
     # c1 = [alpha1, alpha2] = a1d x2 - P g
@@ -140,43 +139,25 @@ def _omega(A: TopRows, rows: np.ndarray, h: float, order: int) -> np.ndarray:
     # 2 alpha3 + c1 = a1d x2 + P u, so c2 = -[alpha1, a1d x2 + P u] / 60 is
     # U V + P w with U = [alpha1 a1d, a1d] and V = -[x2; u - g] / 60
     u = 2.0 * x3 - g
-    U = np.concatenate((alpha1 @ a1d, a1d), axis=2)
-    V = (-1.0 / 60.0) * np.concatenate((x2, u - g), axis=1)
+    U = np.concatenate((alpha1 @ a1d, a1d), axis=1)
+    V = (-1.0 / 60.0) * np.concatenate((x2, u - g))
     w = (u @ alpha1) / 60.0
     # Omega = alpha1 + alpha3 / 12 + [Z, alpha2 + c2] / 240 with
     # Z = -20 alpha1 - alpha3 + c1 and alpha2 + c2 = U V + P (x2 + w)
     Z = -20.0 * alpha1 + a1d @ x2
-    Z[:, :d] -= x3 + g
+    Z[:d] -= x3 + g
     s = x2 + w
-    VsZ = np.concatenate((V, s), axis=1) @ Z
-    VZ, sZ = VsZ[:, :2 * d], VsZ[:, 2 * d:]
-    out = (1.0 / 240.0) * (np.concatenate((Z @ U, Z[..., :d], U), axis=2)
-                           @ np.concatenate((V, s, -VZ), axis=1))
-    out[:, :d] += x3 / 12.0 - sZ / 240.0
+    VsZ = np.concatenate((V, s)) @ Z
+    VZ, sZ = VsZ[:2 * d], VsZ[2 * d:]
+    out = (1.0 / 240.0) * (np.concatenate((Z @ U, Z[:, :d], U), axis=1)
+                           @ np.concatenate((V, s, -VZ)))
+    out[:d] += x3 / 12.0 - sZ / 240.0
     out += alpha1
     return out
 
 
-def step_exponentials(A: TopRows, rows: np.ndarray, h: float, order: int) -> np.ndarray:
-    """exp(Omega) of a stack of steps of size h, (steps, n, n), from each
-    step's :func:`gauss_rows` stacked step axis first: the exponents are
-    built in one pass and exponentiated as one stack, which :func:`expm`
-    chunks."""
-    return expm(_omega(A, rows, h, order))
-
-
-def _step(A, t: float, h: float, y, order: int) -> np.ndarray:
-    if not isinstance(A, TopRows):
-        A = TopRows(partial(_eval_matrix, A))
-    rows = gauss_rows(A, t, h, order)[None]
-    check_convergence(A, rows, h, order, stacklevel=3)  # the caller of magnus_step(_matrix)
-    return step_exponentials(A, rows, h, order)[0] @ np.asarray(y, dtype=float)
-
-
 def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
     """Advance y' = A(t) y from (t, y) to t + h with the order-2p Magnus scheme.
-
-    The step is a stack of one for :func:`step_exponentials`.
 
     Parameters
     ----------
@@ -189,16 +170,24 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
         State at time t.
     order : {2, 4, 6}
         Convergence order of the scheme; the local error is O(h^(order+1)).
+
+    A step over the convergence safeguard warns from the caller, unless
+    it runs inside :func:`collected_safeguard`.
     """
-    return _step(A, t, h, y, order)
+    if not isinstance(A, TopRows):
+        A = TopRows(partial(_eval_matrix, A))
+    return expm(_omega(A, t, h, order)) @ np.asarray(y, dtype=float)
 
 
 def magnus_step_matrix(A, t: float, h: float, Y, order: int) -> np.ndarray:
     """Matrix-valued variant of :func:`magnus_step` for Y' = A(t) Y.
 
     Used to propagate fundamental matrices (e.g. all columns of a
-    monodromy computation in a single pass).
+    monodromy computation in a single pass, or the products of a period's
+    step exponentials).
     """
     if np.ndim(Y) != 2:
         raise ValueError("Y must be a matrix")
-    return _step(A, t, h, Y, order)
+    if not isinstance(A, TopRows):
+        A = TopRows(partial(_eval_matrix, A))
+    return expm(_omega(A, t, h, order)) @ np.asarray(Y, dtype=float)

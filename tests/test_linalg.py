@@ -4,8 +4,7 @@ import scipy.linalg
 
 from ddemagnus import (NumericalFailure, builtin_problem, commutator, discretize, eigenvalues,
                        expm, sort_spectrum)
-from ddemagnus.linalg import stack_size
-from ddemagnus.magnus_linear import TopRows, _omega, gauss_rows
+from ddemagnus.magnus_linear import TopRows, _omega
 
 # accuracy thresholds of the Taylor degrees 8, 12 and 18 (linalg._TAYLOR_THETA)
 THETA_8, THETA_12, THETA_18 = 4.991228871115323e-02, 2.996158913811580e-01, 1.090863719290036
@@ -88,7 +87,7 @@ def test_expm_degree_18_on_mathieu_exponents_at_workload_size():
     rows = TopRows(system.top_rows, system._lower)
     h = problem.period / 128
     for k in (0, 37, 90):
-        omega = _omega(rows, gauss_rows(rows, k * h, h, 6)[None], h, 6)[0]
+        omega = _omega(rows, k * h, h, 6)
         assert omega.shape == (122, 122)
         assert int(np.ceil(np.log2(np.abs(omega).sum(axis=0).max() / THETA_18))) == 5
         assert_matches_scipy(omega)
@@ -170,37 +169,6 @@ def test_expm_input_validation():
         expm(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-    for shape in ((3,), (2, 2, 3), (1, 2, 2, 2)):
-        with pytest.raises(ValueError, match="square matrix or a stack"):
-            expm(np.zeros(shape))
-    stack = np.zeros((3, 2, 2))
-    stack[2, 0, 1] = np.inf
-    with pytest.raises(ValueError, match="finite entries"):
-        expm(stack)
-
-
-@pytest.mark.parametrize("n", [1, 2, 21])
-def test_expm_of_a_mixed_norm_stack_matches_scipy(n):
-    # 70 norms from degree 1 to 3 squarings: at n = 21 two chunks (64 + 6),
-    # each taking the degree and squarings of its largest norm, so the
-    # small-norm matrices get more terms and squarings than alone
-    assert (stack_size(21), stack_size(122)) == (64, 1)
-    stack = np.array([scaled_random(n, norm, seed)
-                      for seed, norm in enumerate(np.geomspace(1e-6, 8.0, 70))])
-    got = expm(stack)
-    assert got.shape == stack.shape and got.flags.c_contiguous
-    for M, E in zip(stack, got):
-        ref = scipy.linalg.expm(M)
-        assert np.abs(E - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("n", [1, 2, 21, 122])
-def test_expm_of_a_matrix_is_its_stack_of_one(n):
-    # a 2-D input runs as a chunk of one: the same bits for every degree
-    # and for s = 0, 2 and 8 squarings
-    for seed, norm in enumerate((1e-17, 1e-9, 1e-4, 0.04, 0.25, 0.9, 4.0, 250.0)):
-        M = scaled_random(n, norm, seed)
-        np.testing.assert_array_equal(expm(M), expm(M[None])[0])
 
 
 def test_commutator_basics():

@@ -6,7 +6,7 @@ import pytest
 from ddemagnus import (ChebyshevGrid, MagnusConvergenceWarning, builtin_problem,
                        commutator, discretize, expm, magnus_step,
                        magnus_step_matrix, monodromy)
-from ddemagnus.magnus_linear import TopRows, _omega, gauss_rows
+from ddemagnus.magnus_linear import TopRows, _omega
 
 SQRT3, SQRT15 = np.sqrt(3.0), np.sqrt(15.0)
 
@@ -37,11 +37,6 @@ def delay_rows(d, seed, N=8, tau=1.0):
         return c0 + np.sin(t) * c1 + np.cos(2.0 * t) * c2
 
     return TopRows(top, lower), lambda t: np.vstack((top(t), lower))
-
-
-def one_omega(A, t, h, order):
-    """The exponent of one step, as a stack of one."""
-    return _omega(A, gauss_rows(A, t, h, order)[None], h, order)[0]
 
 
 def assert_relative(got, ref, tol):
@@ -178,9 +173,9 @@ def test_structured_omega_matches_dense_formula(order, d):
     rows, full = delay_rows(d, seed=d)
     for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
         ref = dense_omega(full, t, h, order)
-        assert_relative(one_omega(rows, t, h, order), ref, 1e-13)
+        assert_relative(_omega(rows, t, h, order), ref, 1e-13)
         # a plain callable is the case d = n, without constant rows
-        assert_relative(one_omega(TopRows(full), t, h, order), ref, 1e-13)
+        assert_relative(_omega(TopRows(full), t, h, order), ref, 1e-13)
 
 
 def _safeguard_fires(A, t, h, order):
