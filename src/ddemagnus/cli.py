@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from . import _g17 as g17
 from .dde import (LinearDDEProblem, admissible_orders, monodromy, solve,
                   stability_verdict)
 from .linalg import NumericalFailure
@@ -264,36 +265,65 @@ def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
             handle.write(text + "\n")
 
 
-# One solve row; renders exactly as _format_rows does (ints, then %.17g floats).
-_SOLVE_ROW = "%d,%d,%.17g,%d,%.17g"
-# The same row with node index j and component c filled in: "%d,j,%.17g,c,%.17g".
-_WINDOW_ROW = "%%d,%d,%%.17g,%d,%%.17g"
+# Rows of the solve CSV formatted at once: enough to spread numpy's per-call
+# cost over thousands of values, few enough that the formatting temporaries
+# stay below the solve's own peak memory.
+_SOLVE_CHUNK_ROWS = 4096
 
 
 def _solve_lines(trajectory):
-    """Yield the CSV text of each interval's stored windows: rows (interval,
-    node_index, time, component_index, value) joined by newlines.
+    """Yield the CSV text of the stored windows, about ``_SOLVE_CHUNK_ROWS``
+    rows (interval, node_index, time, component_index, value) at a time,
+    joined by newlines.
 
-    One ``%`` template covers a window, with the node and component
-    indices written into it, so an interval is one format call on the
-    (interval, time, value) triples of all its windows, taken from one
-    ``.tolist()``.  ``%d`` renders the interval number stored as a float
-    exactly as the integer.
+    A chunk is laid out in one uint32 buffer reused from chunk to chunk:
+    per row, the prefix "\\nk,j," and the time's :mod:`._g17` canvas, then
+    ",c," and the value's canvas, each padded with zero bytes.  Dropping
+    the zero bytes leaves the text, byte for byte that of ``%.17g``.
     """
     d = trajectory.d
     theta = np.repeat(trajectory.grid.nodes_shifted, d)
-    window = "\n".join(_WINDOW_ROW % (j, c) for j in range(len(theta) // d) for c in range(d))
+    size = len(theta)
     if trajectory.steps is None:
         intervals = [(trajectory.times[k:k + 1], trajectory.states[k][None])
                      for k in range(1, len(trajectory.times))]
     else:
         intervals = trajectory.steps
+    # words that hold the longest "\nk,j," and ",c,"
+    width = -(-max(len(f"\n{len(intervals)},{trajectory.grid.N},"), len(f",{d - 1},")) // 4)
+
+    def prefixes(texts):
+        return np.frombuffer(b"".join(text.encode().ljust(4 * width, b"\0")
+                                      for text in texts), np.uint32).reshape(-1, width)
+
+    windows = max(1, _SOLVE_CHUNK_ROWS // size)
+    rows = np.zeros((windows, size, 2, width + g17.WORDS), np.uint32)
+    rows[:, :, 1, :width] = prefixes(f",{i % d}," for i in range(size))
+    canvases = rows.reshape(-1, width + g17.WORDS)[:, width:]
+    values = np.empty((windows, size, 2))
+
+    def flush(filled):
+        g17.format_g17(values[:filled].reshape(-1), canvases[:2 * size * filled])
+        text = rows[:filled].tobytes().translate(None, b"\0")
+        return str(memoryview(text)[1:], "ascii")   # without the first "\n"
+
+    filled = 0
     for k, (times, states) in enumerate(intervals, start=1):
-        triples = np.empty((len(times), len(theta), 3))
-        triples[..., 0] = k
-        triples[..., 1] = times[:, None] + theta
-        triples[..., 2] = states
-        yield "\n".join([window] * len(times)) % tuple(triples.ravel().tolist())
+        head = prefixes(f"\n{k},{i // d}," for i in range(size))
+        done = 0
+        while done < len(times):
+            take = min(len(times) - done, windows - filled)
+            chunk = slice(filled, filled + take)
+            rows[chunk, :, 0, :width] = head
+            np.add(times[done:done + take, None], theta, out=values[chunk, :, 0])
+            values[chunk, :, 1] = states[done:done + take]
+            filled += take
+            done += take
+            if filled == windows:
+                yield flush(filled)
+                filled = 0
+    if filled:
+        yield flush(filled)
 
 
 def cmd_solve(cfg: RunConfig, bench) -> int:

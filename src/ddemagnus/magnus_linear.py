@@ -19,9 +19,7 @@ from functools import partial
 
 import numpy as np
 
-# commutator is not called here, but stays bound: bench/tracer.py wraps
-# magnus_linear.commutator and reports a missing name as a broken target
-from .linalg import commutator, expm  # noqa: F401
+from .linalg import commutator, expm
 
 LINEAR_ORDERS = (2, 4, 6)
 
@@ -99,28 +97,50 @@ def _check_convergence_bound(A: TopRows, top: np.ndarray, t: float, h: float) ->
             MagnusConvergenceWarning, stacklevel=4)
 
 
+def _dense_omega(rows, h: float, order: int) -> np.ndarray:
+    """The exponent of :func:`_omega` from full matrices at the Gauss points,
+    with dense commutators."""
+    if order == 2:
+        return h * rows[0]
+    if order == 4:
+        r1, r2 = rows
+        return 0.5 * h * (r1 + r2) - (h * h * _SQRT3 / 12.0) * commutator(r1, r2)
+    r1, r2, r3 = rows
+    alpha1 = h * r2
+    alpha2 = (_SQRT15 * h / 3.0) * (r3 - r1)
+    alpha3 = (10.0 * h / 3.0) * (r3 - 2.0 * r2 + r1)
+    c1 = commutator(alpha1, alpha2)
+    c2 = (-1.0 / 60.0) * commutator(alpha1, 2.0 * alpha3 + c1)
+    return (alpha1 + alpha3 / 12.0
+            + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
+
+
 def _omega(A: TopRows, t: float, h: float, order: int) -> np.ndarray:
     """Truncated Magnus exponent for one step from t to t + h.
 
     The Gauss-point differences (order 4's a2 - a1, order 6's alpha2 =
     P x2 and alpha3 = P x3) live in the top d rows, so each commutator is
     taken in factored form, [Y, P X] = Y[:, :d] X - P (X Y) and
-    [Y, U V] = (Y U) V - U (V Y), at O(d n^2) instead of O(n^3).
+    [Y, U V] = (Y U) V - U (V Y), at O(d n^2) instead of O(n^3).  Without
+    a lower block (d = n) the factors are wider than the matrices, so the
+    commutators are taken dense.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
     if order not in _NODES:
         raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
     rows = [A.top(t + c * h) for c in _NODES[order]]
+    # A(midpoint); order 4 has no midpoint evaluation, the Gauss-point mean stands in
+    _check_convergence_bound(A, 0.5 * (rows[0] + rows[1]) if order == 4
+                             else rows[len(rows) // 2], t, h)
+    if A.lower is None:
+        return _dense_omega(rows, h, order)
     d, n = rows[0].shape
-    lower = np.empty((0, n)) if A.lower is None else A.lower
+    lower = A.lower
     if order == 2:
-        _check_convergence_bound(A, rows[0], t, h)
         return np.concatenate((h * rows[0], h * lower))
     if order == 4:
         r1, r2 = rows
-        # the Gauss-point mean stands in for A(midpoint): no third evaluation
-        _check_convergence_bound(A, 0.5 * (r1 + r2), t, h)
         # [a1, a2] = [a1, a2 - a1] and a2 - a1 = P (r2 - r1)
         a1, diff = np.concatenate((r1, lower)), r2 - r1
         scale = h * h * _SQRT3 / 12.0
@@ -129,7 +149,6 @@ def _omega(A: TopRows, t: float, h: float, order: int) -> np.ndarray:
         out[:d] += scale * (diff @ a1)
         return out
     r1, r2, r3 = rows
-    _check_convergence_bound(A, r2, t, h)
     alpha1 = np.concatenate((h * r2, h * lower))
     a1d = alpha1[:, :d]
     x2 = (_SQRT15 * h / 3.0) * (r3 - r1)           # alpha2 = P x2

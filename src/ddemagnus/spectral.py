@@ -9,6 +9,7 @@ block 0 carries the newest value, block N the fully delayed one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,8 @@ class ChebyshevGrid:
 
     @classmethod
     def build(cls, N: int, delay: float) -> "ChebyshevGrid":
-        if delay <= 0:
-            raise ValueError("delay must be positive")
+        if not 0 < delay < math.inf:
+            raise ValueError(f"delay must be positive and finite, got {delay}")
         t = chebyshev_nodes(N)
         theta = (t - 1.0) * (delay / 2.0)
         weights = (-1.0) ** np.arange(N + 1)
@@ -135,7 +136,7 @@ def interpolate_window(values: np.ndarray, grid: ChebyshevGrid,
     d = values.size // n_nodes
     tau = grid.delay
     slop = 1e-12 * (abs(window_end) + tau)
-    if t < window_end - tau - slop or t > window_end + slop:
+    if not window_end - tau - slop <= t <= window_end + slop:  # NaN fails too
         raise OutOfRangeError(
             f"t = {t} outside the covered window [{window_end - tau}, {window_end}]")
     blocks = values.reshape(n_nodes, d)

@@ -8,7 +8,9 @@ import pytest
 
 import ddemagnus
 from ddemagnus import ChebyshevGrid
-from ddemagnus.cli import _SOLVE_ROW, _format_rows, _solve_lines, build_parser, main
+from ddemagnus import cli
+from ddemagnus._g17 import WORDS, format_g17
+from ddemagnus.cli import _format_rows, _solve_lines, build_parser, main
 from ddemagnus.dde import Trajectory
 
 
@@ -167,28 +169,89 @@ def test_solve_store_steps_emits_every_step(tmp_path, capsys):
     assert len(rows) == 3 * 5  # three steps, N+1 nodes each
 
 
+def g17_lines(values):
+    """The vectorised %.17g text of ``values``, one per line."""
+    canvas = np.zeros((len(values), WORDS + 1), np.uint32)
+    format_g17(np.asarray(values, dtype=float), canvas[:, :WORDS])
+    canvas[:, WORDS] = ord("\n")
+    return canvas.tobytes().translate(None, b"\0")
+
+
+def assert_renders_as_percent_g17(values):
+    values = np.asarray(values, dtype=float)
+    expected = b"".join(b"%.17g\n" % v for v in values.tolist())
+    got = g17_lines(values)
+    if got != expected:
+        pairs = zip(values.tolist(), got.split(b"\n"), expected.split(b"\n"))
+        value, text, want = next(p for p in pairs if p[1] != p[2])
+        pytest.fail(f"{value!r} rendered {text!r}, %.17g gives {want!r}")
+
+
+def test_g17_matches_percent_format_over_the_exponent_range():
+    rng = np.random.default_rng(20261018)
+    signs = rng.choice([-1.0, 1.0], size=1_000_000)
+    # most of them where the vectorised path applies, the rest anywhere
+    exponents = np.r_[rng.uniform(-4.5, 16.5, 800_000), rng.uniform(-320, 308.25, 200_000)]
+    values = signs * 10.0 ** exponents
+    assert values.min() < -1e300 and values.max() > 1e300
+    assert 0 < np.abs(values).min() < 1e-319
+    assert_renders_as_percent_g17(values)
+
+
+def test_g17_edge_values_match_percent_format():
+    assert_renders_as_percent_g17(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-4, np.nextafter(1e-4, 0), -1e-4,
+         9.9999999999999998e15, 1e16, -1e16, 1e17, float("nan"), float("inf"),
+         float("-inf"), 1.0, 0.1, 0.5, 1e15, 123.0, np.nextafter(1e15, 0)]
+        + [s * 10.0 ** p for p in range(-5, 18) for s in (1, -1)]
+        + [np.nextafter(10.0 ** p, t) for p in range(-5, 18) for t in (0, np.inf)])
+
+
+def test_g17_rounds_exact_ties_to_even():
+    ties = [100000000000000.125, 100000000000000.375, 100000000000000.625,
+            100000000000000.875, 1e15 + 0.25]
+    assert g17_lines(ties) == (b"100000000000000.12\n100000000000000.38\n"
+                               b"100000000000000.62\n100000000000000.88\n"
+                               b"1000000000000000.2\n")
+    rng = np.random.default_rng(7)
+    whole = rng.integers(10 ** 15, 2 ** 51, 20_000).astype(float)
+    fifteen = rng.integers(10 ** 14, 2 ** 48, 20_000).astype(float)
+    assert_renders_as_percent_g17(np.r_[ties, whole + 0.25, -(whole + 0.75),
+                                        fifteen + 0.125, fifteen + 0.625])
+
+
+def test_g17_cuts_trailing_zeros():
+    assert g17_lines([2.5, 100.0, 0.001, 1234.5, 0.10000000000000001]) == \
+        b"2.5\n100\n0.001\n1234.5\n0.10000000000000001\n"
+    rng = np.random.default_rng(11)
+    assert_renders_as_percent_g17(np.r_[np.round(rng.uniform(-1e3, 1e3, 20_000), 3),
+                                        rng.integers(-10 ** 15, 10 ** 15, 20_000)])
+
+
 def test_solve_rows_render_as_the_generic_formatter():
-    rows = [(1, 0, -0.0, 0, float("nan")), (12, 20, float("inf"), 1, 1e-300),
-            (3, 7, -2.5, 0, float("-inf")), (0, 1, 0.1, 2, -1e-300)]
-    assert [_SOLVE_ROW % row for row in rows] == _format_rows(rows)
     grid = ChebyshevGrid.build(2, 1.0)
     states = [np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
-              np.array([-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300])]
-    traj = Trajectory(grid=grid, d=2, order=2, M=1, problem="", times=np.array([0.0, -1.5]),
-                      states=states)
+              np.array([-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300]),
+              np.array([float("-inf"), 0.1, -2.5, 1e16, 5e-324, 1e-4])]
+    traj = Trajectory(grid=grid, d=2, order=2, M=1, problem="",
+                      times=np.array([0.0, -1.5, 12345.678]), states=states)
     expected = _format_rows(
-        (1, j, float(-1.5 + theta), c, float(states[1][2 * j + c]))
-        for j, theta in enumerate(grid.nodes_shifted) for c in range(2))
+        (k, j, float(traj.times[k] + theta), c, float(states[k][2 * j + c]))
+        for k in (1, 2) for j, theta in enumerate(grid.nodes_shifted) for c in range(2))
     assert "\n".join(_solve_lines(traj)) == "\n".join(expected)
 
 
+@pytest.mark.parametrize("chunk_rows", [4096, 12, 1])
 @pytest.mark.parametrize("problem, argv", [
     ("example1", ["--N", "4", "--M", "3", "--order", "2", "--t-final", "4.0"]),
     ("mathieu", ["--N", "3", "--M", "2", "--order", "6", "--t-final", "14.0"]),
 ])
-def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, problem, argv):
-    # every step of every interval (a trailing partial one too) through the
-    # per-interval % template, byte for byte the rows of _format_rows
+def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatch,
+                                                    problem, argv, chunk_rows):
+    # every step of every interval (a trailing partial one too), in chunks
+    # that hold all rows, split intervals, or hold less than a window, byte
+    # for byte the rows of _format_rows
+    monkeypatch.setattr(cli, "_SOLVE_CHUNK_ROWS", chunk_rows)
     out = tmp_path / "steps.csv"
     assert run_cli(["solve", "--problem", problem, *argv, "--store-steps",
                     "--out", str(out)], capsys)[0] == 0
@@ -202,6 +265,17 @@ def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, problem, a
     assert len({row[0] for row in rows}) == 3
     body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
     assert body == "\n".join(_format_rows(rows)) + "\n"
+
+
+def test_solve_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    argv = ["solve", "--problem", "mathieu", "--N", "6", "--M", "40", "--order", "4",
+            "--t-final", "60.0", "--store-steps"]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    out = tmp_path / "steps.csv"
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    assert stdout.encode("utf-8") == out.read_bytes()
+    assert stdout.count("\n") > cli._SOLVE_CHUNK_ROWS   # more than one chunk
 
 
 def test_failing_solve_writes_no_file(tmp_path, capsys):

@@ -183,6 +183,9 @@ def test_trajectory_interpolation_matches_exact_solution():
         assert abs(got[0] - bench.exact(t)[0]) <= 1e-6
     with pytest.raises(OutOfRangeError):
         traj.at(7.0)
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(OutOfRangeError):
+            traj.at(t)
 
 
 def test_solve_argument_validation():

@@ -178,6 +178,19 @@ def test_structured_omega_matches_dense_formula(order, d):
         assert_relative(_omega(TopRows(full), t, h, order), ref, 1e-13)
 
 
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_plain_callable_and_factored_forms_give_the_same_exponent(order):
+    # a plain callable takes dense commutators; the same matrix as top rows
+    # over an empty lower block (d = n), and the delay system's own top
+    # rows, take factored ones
+    rows, full = delay_rows(2, seed=5)
+    n = rows.lower.shape[1]
+    for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
+        dense = _omega(TopRows(full), t, h, order)
+        assert_relative(_omega(TopRows(full, np.empty((0, n))), t, h, order), dense, 1e-13)
+        assert_relative(_omega(rows, t, h, order), dense, 1e-13)
+
+
 def _safeguard_fires(A, t, h, order):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

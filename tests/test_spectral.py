@@ -67,6 +67,9 @@ def test_grid_shifted_nodes_exact_endpoints():
 def test_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         ChebyshevGrid.build(5, 0.0)
+    for delay in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ChebyshevGrid.build(4, delay)
     with pytest.raises(ValueError):
         ChebyshevGrid.build(0, 1.0)
 
@@ -137,3 +140,6 @@ def test_interpolate_rejects_extrapolation():
         interpolate_window(values, grid, 1.0, -0.5)
     with pytest.raises(ValueError):
         interpolate_window(np.zeros(8), grid, 0.0, -0.5)  # not a block multiple
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(OutOfRangeError):
+            interpolate_window(values, grid, 0.0, t)
