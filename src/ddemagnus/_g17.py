@@ -42,14 +42,15 @@ _POW10_LO = _POW10 - _POW10_HI
 _Z = ord("0")
 _MINUS = _words([ord("-"), 0, 0, 0])[0]
 
-_QUAD_DIGITS = np.arange(10000, dtype=np.int16)[:, None] // np.array(
-    [1000, 100, 10, 1], dtype=np.int16) % 10
+# the four digits of 0..9999 (small integer types keep the import's temporaries small)
+_QUAD_DIGITS = (np.arange(10000, dtype=np.int16)[:, None]
+                // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
 # the lead digits "0" .. "9" and the quads "0000" .. "9999" as words
 _LEAD = _words(np.c_[np.zeros((10, 3)), np.arange(10) + _Z])[:, 0]
 _QUADS = _words(_QUAD_DIGITS + _Z)[:, 0]
 # per quad i = 0..3 (digits 4i+1..4i+4): the index of its last nonzero digit, 0 if none
-_LAST = 4 - np.argmax(_QUAD_DIGITS[:, ::-1] != 0, axis=1)
-_LAST = np.where(_QUAD_DIGITS.any(axis=1), _LAST + 4 * np.arange(4)[:, None], 0).astype(np.int8)
+_LAST = (4 - np.argmax(_QUAD_DIGITS[:, ::-1] != 0, axis=1)).astype(np.int8)
+_LAST = np.where(_QUAD_DIGITS.any(axis=1), _LAST + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0)
 
 # Per (e, l), e = -4..15 the exponent and l = 0..16 the index of the last
 # nonzero digit, at row (e + 4) * 17 + l: the bytes of each word that keep

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from . import _g17 as g17
 from .dde import (LinearDDEProblem, admissible_orders, monodromy, solve,
                   stability_verdict)
 from .linalg import NumericalFailure
@@ -281,6 +280,7 @@ def _solve_lines(trajectory):
     ",c," and the value's canvas, each padded with zero bytes.  Dropping
     the zero bytes leaves the text, byte for byte that of ``%.17g``.
     """
+    from . import _g17 as g17   # its tables are built for solve output only
     d = trajectory.d
     theta = np.repeat(trajectory.grid.nodes_shifted, d)
     size = len(theta)
