@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import ddemagnus
-from ddemagnus import ChebyshevGrid
-from ddemagnus import cli
+from ddemagnus import ChebyshevGrid, cli
 from ddemagnus._g17 import WORDS, format_g17
 from ddemagnus.cli import _format_rows, _solve_lines, build_parser, main
 from ddemagnus.dde import Trajectory
@@ -241,20 +240,14 @@ def test_solve_rows_render_as_the_generic_formatter():
     assert "\n".join(_solve_lines(traj)) == "\n".join(expected)
 
 
-@pytest.mark.parametrize("chunk_rows", [4096, 12, 1])
 @pytest.mark.parametrize("problem, argv", [
     ("example1", ["--N", "4", "--M", "3", "--order", "2", "--t-final", "4.0"]),
     ("mathieu", ["--N", "3", "--M", "2", "--order", "6", "--t-final", "14.0"]),
 ])
-def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatch,
-                                                    problem, argv, chunk_rows):
+def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatch, problem, argv):
     # every step of every interval (a trailing partial one too), in chunks
     # that hold all rows, split intervals, or hold less than a window, byte
     # for byte the rows of _format_rows
-    monkeypatch.setattr(cli, "_SOLVE_CHUNK_ROWS", chunk_rows)
-    out = tmp_path / "steps.csv"
-    assert run_cli(["solve", "--problem", problem, *argv, "--store-steps",
-                    "--out", str(out)], capsys)[0] == 0
     traj = ddemagnus.solve(ddemagnus.builtin_problem(problem).problem, int(argv[1]),
                            int(argv[3]), int(argv[5]), float(argv[7]), store_steps=True)
     d, theta = traj.d, traj.grid.nodes_shifted
@@ -263,8 +256,13 @@ def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatc
             for t, state in zip(times, states)
             for j in range(len(theta)) for c in range(d)]
     assert len({row[0] for row in rows}) == 3
-    body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
-    assert body == "\n".join(_format_rows(rows)) + "\n"
+    out = tmp_path / "steps.csv"
+    for chunk_rows in (cli._SOLVE_CHUNK_ROWS, 12, 1):
+        monkeypatch.setattr(cli, "_SOLVE_CHUNK_ROWS", chunk_rows)
+        assert run_cli(["solve", "--problem", problem, *argv, "--store-steps",
+                        "--out", str(out)], capsys)[0] == 0
+        body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
+        assert body == "\n".join(_format_rows(rows)) + "\n"
 
 
 def test_solve_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
