@@ -10,122 +10,163 @@ exponent from ``log10`` that is one off).  Every other value (zero, -0,
 |x| < 1e-4, |x| >= 1e16, NaN, +-inf, a rejected D) goes through Python's
 ``%`` one at a time.
 
-Each value is laid out in a canvas of ``WORDS`` 4-byte words, with zero
-bytes as padding anywhere inside it; deleting the zero bytes leaves the
-text.  The 17 digits are one lead digit and four words of four, and they
-are written twice, masked: once as the integer part (digits 0..e) and
-once as the fraction (digits e+1 up to the last nonzero one)::
+Each value's text starts at the first byte of a canvas of ``WORDS``
+little-endian 64-bit words, 24 bytes, and zero bytes pad it after the
+text: the longest ``%.17g`` text, such as ``-2.2250738585072014e-308``, is
+24 bytes.  The digits are written once.  V is D with a zero digit
+inserted after digit e, the place of the point (V = D for e < 0), so the
+fraction digits sit one place further on; its 18 digits v0 .. v17 fill
+bytes 6..23 of a frame as digit values 0..9.  One right shift per (sign,
+e) moves v0 to text byte s - min(e, 0), s = 1 for a minus sign; a fixed
+part per (sign, e, L), L the index of V's last nonzero digit, then adds
+the sign, the "0." and zeros ahead of the digits for e < 0, the point in
+place of the inserted zero, and "0" (0x30) to every digit that is shown::
 
-    word 0     sign, -, -, lead          integer part
-    words 1-4  digits 1-16
-    word 5     "0" if e < 0, ".", "0", "0"
-    word 6     "0", -, -, lead           fraction
-    words 7-10 digits 1-16
+    e >= 0   [-] v0 .. ve [. v(e+2) .. vL]
+    e < 0    [-] 0 . 0^(-e-1) v1 .. vL
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-WORDS = 11
-
-
-def _words(data) -> np.ndarray:
-    """uint32 words whose memory bytes are ``data`` (last axis a multiple of 4)."""
-    return np.ascontiguousarray(data, dtype=np.uint8).view(np.uint32)
-
+WORDS = 3
 
 _POW10 = np.array([float(10 ** k) for k in range(23)])      # exact doubles
 _SPLIT = 134217729.0                                        # 2^27 + 1 (Veltkamp)
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_Z = ord("0")
-_MINUS = _words([ord("-"), 0, 0, 0])[0]
+# 9 * 10^k: V = D + floor(|x|) * 9 * 10^(16-e); floor(|x|) = 0 for e < 0
+_NINE_POW10 = np.array([9 * 10 ** k if k <= 16 else 0 for k in range(23)], np.int64)
+
+
+def _words(data) -> np.ndarray:
+    """uint64 words whose memory bytes are ``data`` (last axis a multiple of 8)."""
+    return np.ascontiguousarray(data, dtype=np.uint8).view(np.uint64)
+
 
 # the four digits of 0..9999 (small integer types keep the import's temporaries small)
 _QUAD_DIGITS = (np.arange(10000, dtype=np.int16)[:, None]
                 // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
-# the lead digits "0" .. "9" and the quads "0000" .. "9999" as words
-_LEAD = _words(np.c_[np.zeros((10, 3)), np.arange(10) + _Z])[:, 0]
-_QUADS = _words(_QUAD_DIGITS + _Z)[:, 0]
-# per quad i = 0..3 (digits 4i+1..4i+4): the index of its last nonzero digit, 0 if none
+# frame words of digit values: v0 v1 in bytes 6-7 of the first, and each
+# quad in bytes 0-3 (_QUAD_LO) or 4-7 (_QUAD_HI) of the other two
+_PAIR = _words(np.c_[np.zeros((100, 6)), np.arange(100) // 10, np.arange(100) % 10])[:, 0]
+_QUAD_LO = _words(np.c_[_QUAD_DIGITS, np.zeros((10000, 4), np.uint8)])[:, 0]
+_QUAD_HI = _QUAD_LO << np.uint64(32)
+# per quad i = 0..3 (V's digits 4i+2 .. 4i+5): the index in V of its last
+# nonzero digit, 0 if it has none
 _LAST = (4 - np.argmax(_QUAD_DIGITS[:, ::-1] != 0, axis=1)).astype(np.int8)
-_LAST = np.where(_QUAD_DIGITS.any(axis=1), _LAST + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0)
+_LAST = np.where(_QUAD_DIGITS.any(axis=1), _LAST + np.arange(1, 17, 4, dtype=np.int8)[:, None], 0)
 
-# Per (e, l), e = -4..15 the exponent and l = 0..16 the index of the last
-# nonzero digit, at row (e + 4) * 17 + l: the bytes of each word that keep
-# a digit (_MASK) and the fixed bytes of words 5 and 6 (_FIXED), stored
-# word by word.  Digit i sits in byte 3 (i = 0) or 3 + i of the integer
-# part and 24 bytes further on in the fraction.
-_E, _L = np.divmod(np.arange(20 * 17), 17)
+# Per (s, e, L), s = 1 for a minus sign, e = -4..15 and L = 0..17 the last
+# nonzero digit of the quads, at row (20 s + e + 4) * 18 + L: the fixed
+# bytes of the text, one table per word.  Text byte s - min(e, 0) + v holds
+# V's digit v, shown for min(e, 0) <= v <= max(L, e, 1 if e < 0): "." at
+# v = e + 1, "0" elsewhere.  Per 20 s + e + 4, the right shift in bits
+# that moves frame byte 6 (v0) to text byte s - min(e, 0).
+_S, _E, _L = np.unravel_index(np.arange(2 * 20 * 18), (2, 20, 18))
 _E -= 4
-_AT = np.r_[3, 4:20]
-_mask = np.zeros((20 * 17, 4 * WORDS), np.uint8)
-_mask[:, _AT] = 255 * (np.arange(17) <= _E[:, None])
-_mask[:, _AT + 24] = 255 * ((np.arange(17) > _E[:, None]) & (np.arange(17) <= _L[:, None]))
-_fixed = np.zeros_like(_mask)
-_fixed[:, 20:25] = (np.c_[_E < 0, _L > _E, _E < -1, _E < -2, _E < -3]
-                    * [_Z, ord("."), _Z, _Z, _Z])
-_MASK = _words(_mask).T.copy()
+_first = np.minimum(_E, 0)
+_v = np.arange(8 * WORDS) - (_S - _first)[:, None]
+_last = np.maximum(_L, np.where(_E < 0, 1, _E))[:, None]
+_fixed = np.where((_v >= _first[:, None]) & (_v <= _last),
+                  np.where(_v == _E[:, None] + 1, ord("."), ord("0")), 0)
+_fixed[:, 0] |= np.where(_S == 1, ord("-"), 0)
 _FIXED = _words(_fixed).T.copy()
-del _E, _L, _AT, _mask, _fixed
+_SHIFT = (8 * (6 - _S + _first)[::18]).astype(np.uint64)
+del _S, _E, _L, _first, _v, _last, _fixed
 
 
-def format_g17(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the ``%.17g`` text of each float64 in the 1-D ``x`` into ``out``.
+class Formatter:
+    """``%.17g`` of up to ``size`` values per call, with every work array
+    allocated once: temporaries made afresh for each call would be handed
+    back to the system between calls and paged in again."""
 
-    ``out`` is a uint32 array of shape ``(len(x), WORDS)`` (a strided
-    view is fine); every word of it is written.
-    """
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    k = 16 - e
-    # hi + lo = a * 10^k exactly
-    hi = a * _POW10.take(k)
-    a_hi = a * _SPLIT
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    lo = a_hi * p_hi
-    lo -= hi
-    lo += a_hi * p_lo
-    lo += a_lo * p_hi
-    lo += a_lo * p_lo
-    whole = np.floor(lo)
-    lo -= whole
-    # hi >= 2^53 is an integer wherever D can pass the range test below
-    D = hi.astype(np.int64)
-    D += whole.astype(np.int64)
-    D += (lo > 0.5) | ((lo == 0.5) & (D & 1 == 1))
-    fast &= (D >= 10 ** 16) & (D < 10 ** 17)
-    D[~fast] = 10 ** 16
+    def __init__(self, size: int):
+        self._int = np.empty((5, size), np.int64)
+        self._word = np.empty((6, size), np.uint64)
+        self._small = np.empty((2, size), np.int8)
+        self._flag = np.empty((2, size), bool)
 
-    top = D // 10 ** 8
-    bottom = (D - top * 10 ** 8).astype(np.int32)
-    top = top.astype(np.int32)
-    lead = top // 10 ** 8
-    high = top // 10 ** 4
-    quads = [high - lead * 10 ** 4, top - high * 10 ** 4]
-    high = bottom // 10 ** 4
-    quads += [high, bottom - high * 10 ** 4]
-    last = _LAST[0].take(quads[0])
-    for i in (1, 2, 3):
-        np.maximum(last, _LAST[i].take(quads[i]), out=last)
-    row = np.clip(e, -4, 15)
-    row += 4
-    row *= 17
-    row += last
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the ``%.17g`` text of each float64 in the 1-D ``x`` into ``out``.
 
-    for w, word in enumerate([_LEAD.take(lead)] + [_QUADS.take(q) for q in quads]):
-        out[:, w] = word & _MASK[w].take(row)
-        out[:, 6 + w] = word & _MASK[6 + w].take(row)
-    out[:, 0] |= (x < 0) * _MINUS
-    out[:, 5] = _FIXED[5].take(row)
-    out[:, 6] |= _FIXED[6].take(row)
+        ``out`` is a uint64 array of shape ``(len(x), WORDS)`` (a strided
+        view is fine); every word of it is written.
+        """
+        n = len(x)
+        e, k, D, V, t = self._int[:, :n]
+        w1, w2, shift, carry, word, fixed = self._word[:, :n]
+        # memory shared by values that are not needed at the same time
+        a, hi, lo, a_hi, a_lo, p = self._word[:, :n].view(np.float64)
+        quad0, quad2 = shift.view(np.int64), carry.view(np.int64)
+        last, last_i = self._small[:, :n]
+        fast, flag = self._flag[:, :n]
 
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = b"".join((b"%.17g" % v).ljust(4 * WORDS, b"\0") for v in x[slow].tolist())
-        out[slow] = np.frombuffer(texts, np.uint32).reshape(-1, WORDS)
+        # take(..., mode="clip") fills out= without a buffer and keeps the
+        # indices made from rejected values, which the fallback overwrites,
+        # in range
+        np.abs(x, out=a)
+        np.greater_equal(a, 1e-4, out=fast)
+        fast &= np.less(a, 1e16, out=flag)
+        np.copyto(a, 1.0, where=np.invert(fast, out=flag))
+        np.floor(np.log10(a, out=hi), out=hi)
+        np.copyto(e, hi, casting="unsafe")
+        np.subtract(16, e, out=k)
+        np.copyto(V, np.floor(a, out=hi), casting="unsafe")
+        # hi + lo = a * 10^k exactly
+        np.multiply(a, _POW10.take(k, out=p, mode="clip"), out=hi)
+        np.multiply(a, _SPLIT, out=a_hi)
+        a_hi -= np.subtract(a_hi, a, out=lo)
+        np.subtract(a, a_hi, out=a_lo)
+        _POW10_HI.take(k, out=p, mode="clip")
+        q = _POW10_LO.take(k, out=a, mode="clip")
+        np.multiply(a_hi, p, out=lo)
+        lo -= hi
+        lo += np.multiply(a_hi, q, out=a_hi)
+        lo += np.multiply(a_lo, p, out=p)
+        lo += np.multiply(a_lo, q, out=q)
+        # hi >= 2^53 is an even integer wherever D can pass the range test
+        # below, so rounding lo half to even rounds hi + lo half to even
+        np.copyto(D, hi, casting="unsafe")
+        np.copyto(t, np.rint(lo, out=lo), casting="unsafe")
+        D += t
+        fast &= np.greater_equal(D, 10 ** 16, out=flag)
+        fast &= np.less(D, 10 ** 17, out=flag)
+
+        V *= _NINE_POW10.take(k, out=t, mode="clip")
+        V += D
+        pair = np.floor_divide(V, 10 ** 16, out=D)
+        V -= np.multiply(pair, 10 ** 16, out=t)
+        quad1 = np.floor_divide(V, 10 ** 8, out=k)
+        quad3 = V
+        quad3 -= np.multiply(quad1, 10 ** 8, out=t)
+        for top, bottom in ((quad0, quad1), (quad2, quad3)):
+            np.floor_divide(bottom, 10 ** 4, out=top)
+            bottom -= np.multiply(top, 10 ** 4, out=t)
+        _LAST[0].take(quad0, out=last, mode="clip")
+        for i, quad in ((1, quad1), (2, quad2), (3, quad3)):
+            np.maximum(last, _LAST[i].take(quad, out=last_i, mode="clip"), out=last)
+        se = e
+        se += 4
+        se += np.multiply(np.less(x, 0, out=flag), 20, out=t)
+        row = np.multiply(se, 18, out=t)
+        row += last
+
+        _QUAD_LO.take(quad0, out=w1, mode="clip")
+        w1 |= _QUAD_HI.take(quad1, out=word, mode="clip")
+        _QUAD_LO.take(quad2, out=w2, mode="clip")
+        w2 |= _QUAD_HI.take(quad3, out=word, mode="clip")
+        _SHIFT.take(se, out=shift, mode="clip")
+        np.subtract(64, shift, out=carry)
+        frame = (_PAIR.take(pair, out=word, mode="clip"), w1, w2)
+        for w in range(WORDS):
+            np.right_shift(frame[w], shift, out=word)
+            if w + 1 < WORDS:
+                word |= np.left_shift(frame[w + 1], carry, out=fixed)
+            np.bitwise_or(word, _FIXED[w].take(row, out=fixed, mode="clip"), out=out[:, w])
+
+        slow = np.flatnonzero(np.invert(fast, out=flag))
+        if slow.size:
+            texts = b"".join((b"%.17g" % v).ljust(8 * WORDS, b"\0") for v in x[slow].tolist())
+            out[slow] = np.frombuffer(texts, np.uint64).reshape(-1, WORDS)

@@ -261,7 +261,8 @@ def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
           else contextlib.nullcontext(sys.stdout)) as handle:
         handle.write(head + ",".join(columns) + "\n")
         for text in body:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
 
 
 # Rows of the solve CSV formatted at once: enough to spread numpy's per-call
@@ -270,15 +271,28 @@ def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
 _SOLVE_CHUNK_ROWS = 4096
 
 
+def _digits(values, count: int) -> np.ndarray:
+    """The decimal digits of each nonnegative integer in ``values`` as
+    ``count`` ASCII bytes, right-aligned, zero bytes in place of leading zeros."""
+    powers = 10 ** np.arange(count - 1, -1, -1)
+    values = np.asarray(values)[:, None]
+    shown = (values >= powers) | (powers == 1)
+    return np.where(shown, values // powers % 10 + ord("0"), 0).astype(np.uint8)
+
+
 def _solve_lines(trajectory):
     """Yield the CSV text of the stored windows, about ``_SOLVE_CHUNK_ROWS``
     rows (interval, node_index, time, component_index, value) at a time,
     joined by newlines.
 
-    A chunk is laid out in one uint32 buffer reused from chunk to chunk:
-    per row, the prefix "\\nk,j," and the time's :mod:`._g17` canvas, then
-    ",c," and the value's canvas, each padded with zero bytes.  Dropping
-    the zero bytes leaves the text, byte for byte that of ``%.17g``.
+    A chunk is laid out in one buffer of 8-byte words reused from chunk to
+    chunk, two half-rows per row: the prefix "\\nk,j," and the time's
+    :mod:`._g17` canvas, then ",c," and the value's canvas.  A prefix has
+    a fixed field per number, its digits right-aligned: "j," and ",c," are
+    laid out once, "\\nk," per chunk from one word per interval.  Zero
+    bytes pad the fields and the canvases, and dropping them with one
+    ``translate`` per chunk leaves the text, byte for byte that of
+    ``%.17g``.
     """
     from . import _g17 as g17   # its tables are built for solve output only
     d = trajectory.d
@@ -289,41 +303,58 @@ def _solve_lines(trajectory):
                      for k in range(1, len(trajectory.times))]
     else:
         intervals = trajectory.steps
-    # words that hold the longest "\nk,j," and ",c,"
-    width = -(-max(len(f"\n{len(intervals)},{trajectory.grid.N},"), len(f",{d - 1},")) // 4)
+    # digits of the largest k, j and c, and the 8-byte words that hold "\nk,j," and ",c,"
+    nk, nj, nc = (len(str(v)) for v in (len(intervals), trajectory.grid.N, d - 1))
+    width = -(-max(nk + nj + 3, nc + 2) // 8)
+    # the prefix fields: "\nk," of each interval, "j," and ",c," of each
+    # row of a window
+    k_fields = np.zeros((len(intervals), 8 * width), np.uint8)
+    k_fields[:, [0, nk + 1]] = [ord("\n"), ord(",")]
+    k_fields[:, 1:nk + 1] = _digits(np.arange(1, len(intervals) + 1), nk)
+    j_fields = np.zeros((size, 8 * width), np.uint8)
+    j_fields[:, nk + 2:nk + nj + 2] = _digits(np.arange(size) // d, nj)
+    j_fields[:, nk + nj + 2] = ord(",")
+    c_fields = np.zeros((size, 8 * width), np.uint8)
+    c_fields[:, [0, nc + 1]] = ord(",")
+    c_fields[:, 1:nc + 1] = _digits(np.arange(size) % d, nc)
+    k_words, j_words = k_fields.view(np.uint64), j_fields.view(np.uint64)
 
-    def prefixes(texts):
-        return np.frombuffer(b"".join(text.encode().ljust(4 * width, b"\0")
-                                      for text in texts), np.uint32).reshape(-1, width)
-
+    # the rows live in a bytearray, which translate reads in place
     windows = max(1, _SOLVE_CHUNK_ROWS // size)
-    rows = np.zeros((windows, size, 2, width + g17.WORDS), np.uint32)
-    rows[:, :, 1, :width] = prefixes(f",{i % d}," for i in range(size))
+    shape = (windows, size, 2, width + g17.WORDS)
+    buffer = bytearray(8 * math.prod(shape))
+    rows = np.frombuffer(buffer, np.uint64).reshape(shape)
+    rows[:, :, 1, :width] = c_fields.view(np.uint64)
     canvases = rows.reshape(-1, width + g17.WORDS)[:, width:]
     values = np.empty((windows, size, 2))
+    formatter = g17.Formatter(values.size)
 
-    def flush(filled):
-        g17.format_g17(values[:filled].reshape(-1), canvases[:2 * size * filled])
-        text = rows[:filled].tobytes().translate(None, b"\0")
-        return str(memoryview(text)[1:], "ascii")   # without the first "\n"
+    def flush(pieces):
+        # the pieces (k, times, states) of the windows in this chunk
+        filled = sum(len(times) for _, times, _ in pieces)
+        ks = np.repeat([k for k, _, _ in pieces], [len(times) for _, times, _ in pieces])
+        np.bitwise_or(j_words, k_words[ks, None], out=rows[:filled, :, 0, :width])
+        times = np.concatenate([times for _, times, _ in pieces])
+        np.add(times[:, None], theta, out=values[:filled, :, 0])
+        np.concatenate([states for _, _, states in pieces], out=values[:filled, :, 1])
+        formatter(values[:filled].reshape(-1), canvases[:2 * size * filled])
+        rows[filled:] = 0   # past the rows of a short last chunk
+        lines = buffer.translate(None, b"\0")
+        return str(memoryview(lines)[1:], "ascii")   # without the first "\n"
 
-    filled = 0
-    for k, (times, states) in enumerate(intervals, start=1):
-        head = prefixes(f"\n{k},{i // d}," for i in range(size))
+    pieces, filled = [], 0
+    for k, (times, states) in enumerate(intervals):
         done = 0
         while done < len(times):
             take = min(len(times) - done, windows - filled)
-            chunk = slice(filled, filled + take)
-            rows[chunk, :, 0, :width] = head
-            np.add(times[done:done + take, None], theta, out=values[chunk, :, 0])
-            values[chunk, :, 1] = states[done:done + take]
+            pieces.append((k, times[done:done + take], states[done:done + take]))
             filled += take
             done += take
             if filled == windows:
-                yield flush(filled)
-                filled = 0
-    if filled:
-        yield flush(filled)
+                yield flush(pieces)
+                pieces, filled = [], 0
+    if pieces:
+        yield flush(pieces)
 
 
 def cmd_solve(cfg: RunConfig, bench) -> int:

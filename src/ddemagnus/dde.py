@@ -146,13 +146,17 @@ class DiscretizedSystem:
     def big_dim(self) -> int:
         return self.problem.d * (self.grid.N + 1)
 
+    def coefficients(self, t: float) -> tuple:
+        """(A(t), B(t)) of a linear problem, each checked to be a finite d x d matrix."""
+        return tuple(_coefficient(getattr(self.problem, name), t, self.d, name)
+                     for name in ("A", "B"))
+
     def top_rows(self, t: float) -> np.ndarray:
         """First d rows of the system matrix at time t (linear problems):
         A(t) in the leading d x d block, B(t) in the trailing one."""
         d, n = self.d, self.big_dim
         out = np.zeros((d, n))
-        out[:, :d] = _coefficient(self.problem.A, t, d, "A")
-        out[:, n - d:] = _coefficient(self.problem.B, t, d, "B")
+        out[:, :d], out[:, n - d:] = self.coefficients(t)
         return out
 
     def matrix_at(self, t: float) -> np.ndarray:
@@ -184,13 +188,12 @@ class DiscretizedSystem:
         step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
         return lambda t, h, y: step(A, t, h, y, order)
 
-    def check_period(self, t: float, phase: float) -> None:
-        """Raise ValueError unless A and B agree at t and at ``phase``, the
-        time a whole number of periods earlier (linear problems)."""
-        for name in ("A", "B"):
-            coeff = getattr(self.problem, name)
-            now = _coefficient(coeff, t, self.d, name)
-            then = _coefficient(coeff, phase, self.d, name)
+    def check_period(self, t: float, phase: float, at_phase: tuple) -> None:
+        """Raise ValueError unless A and B at t agree with ``at_phase``, their
+        :meth:`coefficients` at ``phase``, the time a whole number of periods
+        earlier (linear problems)."""
+        for name, then in zip(("A", "B"), at_phase):
+            now = _coefficient(getattr(self.problem, name), t, self.d, name)
             gap = float(np.abs(now - then).max())
             if not gap <= 1e-9 * (1.0 + max(np.abs(now).max(), np.abs(then).max())):
                 raise ValueError(f"{name} at t = {t!r} differs by {gap:.3g} from {name} at "
@@ -356,8 +359,9 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     ``phase`` steps the cumulative propagators C_k = E_k ... E_1 of its
     steps at the reduced times, a matrix state from the identity; every
     interval of that phase then gets all of its states as one product of
-    the stacked C_k with its start state, after a spot check of the period
-    at its start.  The convergence safeguard warns at most once per
+    the stacked C_k with its start state, after a spot check of the period:
+    A and B at its start against their values at the phase, evaluated once
+    and kept with the C_k.  The convergence safeguard warns at most once per
     stepped interval (:func:`_warn_safeguard`).  A coefficient or
     exponential that rejects its input (wrong shape, non-finite entries),
     a failed spot check and a non-finite state all raise NumericalFailure
@@ -384,9 +388,12 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                                 states[k] = state
                     _warn_safeguard(hits, g, t0, h)
                 else:
-                    if phase != t0:
-                        system.check_period(t0, phase)
                     if phase not in cumulative:
+                        cumulative[phase] = system.coefficients(phase), None
+                    at_phase, C = cumulative[phase]
+                    if phase != t0:
+                        system.check_period(t0, phase, at_phase)
+                    if C is None:
                         eye = np.eye(system.big_dim)
                         propagator = system.stepper(order, eye)
                         C = np.empty((n_steps,) + eye.shape)
@@ -394,8 +401,7 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                             for k in range(n_steps):
                                 C[k] = propagator(phase + k * h, h, C[k - 1] if k else eye)
                         _warn_safeguard(hits, g, phase, h)
-                        cumulative[phase] = C
-                    C = cumulative[phase]
+                        cumulative[phase] = at_phase, C
                     states = (C.reshape(-1, C.shape[-1]) @ state).reshape((n_steps,) + state.shape)
                     finite = np.isfinite(states.reshape(n_steps, -1)).all(axis=1)
                     if not finite.all():
@@ -436,6 +442,8 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
         raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
     if not math.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final!r}")
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start!r}")
     system = discretize(problem, N)
     tau = problem.tau
     g0 = int(round(t_start / tau))

@@ -125,8 +125,8 @@ def _omega(A: TopRows, t: float, h: float, order: int) -> np.ndarray:
     a lower block (d = n) the factors are wider than the matrices, so the
     commutators are taken dense.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h!r}")
     if order not in _NODES:
         raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
     rows = [A.top(t + c * h) for c in _NODES[order]]
@@ -184,7 +184,7 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
         Maps a time to the square system matrix (same size every call),
         or gives its varying top rows and constant lower block.
     t, h : float
-        Step start and step size, h > 0.
+        Step start and step size, 0 < h < inf.
     y : array, shape (m,)
         State at time t.
     order : {2, 4, 6}

@@ -184,8 +184,8 @@ def nonlinear_magnus_step(A, h: float, y, order: int, *,
     default exponentiates a matrix in full, :class:`BlockTriangularExpmv`
     applies a :class:`DelayExponent`.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h!r}")
     y = np.asarray(y, dtype=float)
     if order == 2:
         u = h * _eval_state_matrix(A, y)

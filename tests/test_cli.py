@@ -8,7 +8,7 @@ import pytest
 
 import ddemagnus
 from ddemagnus import ChebyshevGrid, cli
-from ddemagnus._g17 import WORDS, format_g17
+from ddemagnus._g17 import WORDS, Formatter
 from ddemagnus.cli import _format_rows, _solve_lines, build_parser, main
 from ddemagnus.dde import Trajectory
 
@@ -170,8 +170,8 @@ def test_solve_store_steps_emits_every_step(tmp_path, capsys):
 
 def g17_lines(values):
     """The vectorised %.17g text of ``values``, one per line."""
-    canvas = np.zeros((len(values), WORDS + 1), np.uint32)
-    format_g17(np.asarray(values, dtype=float), canvas[:, :WORDS])
+    canvas = np.zeros((len(values), WORDS + 1), np.uint64)
+    Formatter(len(values))(np.asarray(values, dtype=float), canvas[:, :WORDS])
     canvas[:, WORDS] = ord("\n")
     return canvas.tobytes().translate(None, b"\0")
 
@@ -227,6 +227,21 @@ def test_g17_cuts_trailing_zeros():
                                         rng.integers(-10 ** 15, 10 ** 15, 20_000)])
 
 
+def test_g17_text_starts_its_canvas_and_padding_follows():
+    rng = np.random.default_rng(14)
+    values = np.r_[rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-6, 18, 50_000),
+                   -2.2250738585072014e-308, 0.0, -0.0, float("nan"), -float("inf")]
+    canvas = np.zeros((len(values), WORDS), np.uint64)
+    Formatter(len(values))(values, canvas)
+    text = canvas.view(np.uint8).reshape(len(values), -1)
+    lengths = np.array([len(b"%.17g" % v) for v in values.tolist()])
+    assert (lengths <= text.shape[1]).all()
+    # the text from byte 0, no zero byte inside it, zero bytes after it
+    np.testing.assert_array_equal(text != 0, np.arange(text.shape[1]) < lengths[:, None])
+    longest = text[len(values) - 5].tobytes()
+    assert longest == b"-2.2250738585072014e-308" and len(longest) == 8 * WORDS
+
+
 def test_solve_rows_render_as_the_generic_formatter():
     grid = ChebyshevGrid.build(2, 1.0)
     states = [np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
@@ -263,6 +278,25 @@ def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatc
                         "--out", str(out)], capsys)[0] == 0
         body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
         assert body == "\n".join(_format_rows(rows)) + "\n"
+
+
+@pytest.mark.parametrize("N", ["2", "10"])
+def test_solve_rows_of_a_thousand_intervals_and_more(tmp_path, capsys, N):
+    # "\nk,j," with k >= 1000 fills one 8-byte word (N = 2) or needs a second
+    # one (N = 10)
+    argv = ["--N", N, "--M", "1", "--order", "2", "--t-final", "1575.0"]
+    traj = ddemagnus.solve(ddemagnus.builtin_problem("example1").problem, int(N), 1, 2,
+                           1575.0, store_steps=True)
+    theta = traj.grid.nodes_shifted
+    rows = [(k, j, float(t + theta[j]), 0, float(state[j]))
+            for k, (times, states) in enumerate(traj.steps, start=1)
+            for t, state in zip(times, states) for j in range(len(theta))]
+    assert len(traj.steps) > 1000
+    out = tmp_path / "steps.csv"
+    assert run_cli(["solve", "--problem", "example1", *argv, "--store-steps",
+                    "--out", str(out)], capsys)[0] == 0
+    body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
+    assert body == "\n".join(_format_rows(rows)) + "\n"
 
 
 def test_solve_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):

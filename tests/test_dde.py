@@ -141,6 +141,16 @@ def test_solve_chains_bitwise():
     np.testing.assert_array_equal(full.final_state, resumed.final_state)
 
 
+@pytest.mark.parametrize("t_start", [math.inf, -math.inf, math.nan])
+def test_solve_rejects_nonfinite_t_start(t_start):
+    bench = builtin_problem("example1")
+    tau = bench.problem.tau
+    first = solve(bench.problem, 8, 4, 4, tau)
+    with pytest.raises(ValueError, match="t_start must be finite"):
+        solve(bench.problem, 8, 4, 4, 2 * tau, t_start=t_start,
+              initial_state=first.final_state)
+
+
 def test_solve_snaps_final_time_to_breakpoints():
     bench = builtin_problem("example1")
     traj = solve(bench.problem, 6, 4, 2, 6.2832)  # 2*pi typed to 4 digits
@@ -334,6 +344,32 @@ def test_periodic_reuse_evaluates_first_period_only():
         solve(problem, 8, 8, 6, periods * problem.period)
         counts.append(len(calls))
     assert counts[1] < 2 * counts[0]
+
+
+def test_period_spot_check_evaluates_each_phase_once():
+    # a reused interval evaluates A and B once each, at its start, and
+    # compares them with the values at its phase, taken once when the
+    # phase's propagators were formed
+    bench = builtin_problem("example1")
+    calls = {"A": 0, "B": 0}
+
+    def counted(name):
+        coeff = getattr(bench.problem, name)
+
+        def evaluate(t):
+            calls[name] += 1
+            return coeff(t)
+        return evaluate
+
+    problem = dataclasses.replace(bench.problem, A=counted("A"), B=counted("B"))
+    p = round(problem.period / problem.tau)
+    counts = []
+    for periods in (2, 10):
+        calls.update(A=0, B=0)
+        solve(problem, 8, 8, 6, periods * problem.period)
+        counts.append(dict(calls))
+    for name in ("A", "B"):
+        assert counts[1][name] - counts[0][name] == (10 - 2) * p
 
 
 def test_overflow_in_a_reused_interval_reports_the_uncached_location():

@@ -167,6 +167,17 @@ def test_step_input_validation():
         magnus_step(lambda t: np.zeros(3), 0.0, 0.1, np.zeros(3), 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_step_rejects_nonfinite_step_size(h, order):
+    A = lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="step size h must be positive and finite"):
+        magnus_step(A, 0.0, h, np.ones(2), order)
+    with pytest.raises(ValueError, match="step size h must be positive and finite"):
+        magnus_step_matrix(A, 0.0, h, np.eye(2), order)
+
+
 @pytest.mark.parametrize("order", [4, 6])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_structured_omega_matches_dense_formula(order, d):

@@ -49,6 +49,15 @@ def test_step_input_validation():
         nonlinear_magnus_step(A, 0.1, np.zeros(2), 4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("order", [2, 3])
+def test_step_rejects_nonfinite_step_size(h, order):
+    A = lambda y: np.array([[-1.0, 0.0], [0.0, -y[0] ** 2]])
+    with pytest.raises(ValueError, match="step size h must be positive and finite"):
+        nonlinear_magnus_step(A, h, np.ones(2), order)
+
+
 def delay_rows(N, d, tau=1.0):
     """Constant rows d.. of the discretized delay system: (2/tau)(D kron I_d)[d:]."""
     return np.kron(ChebyshevGrid.build(N, tau).scaled_diff_matrix, np.eye(d))[d:]
