@@ -49,10 +49,9 @@ def _words(data) -> np.ndarray:
 _QUAD_DIGITS = (np.arange(10000, dtype=np.int16)[:, None]
                 // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
 # frame words of digit values: v0 v1 in bytes 6-7 of the first, and each
-# quad in bytes 0-3 (_QUAD_LO) or 4-7 (_QUAD_HI) of the other two
+# quad in bytes 0-3 of a word (shifted to bytes 4-7 for the second quad)
 _PAIR = _words(np.c_[np.zeros((100, 6)), np.arange(100) // 10, np.arange(100) % 10])[:, 0]
-_QUAD_LO = _words(np.c_[_QUAD_DIGITS, np.zeros((10000, 4), np.uint8)])[:, 0]
-_QUAD_HI = _QUAD_LO << np.uint64(32)
+_QUAD = _words(np.c_[_QUAD_DIGITS, np.zeros((10000, 4), np.uint8)])[:, 0]
 # per quad i = 0..3 (V's digits 4i+2 .. 4i+5): the index in V of its last
 # nonzero digit, 0 if it has none
 _LAST = (4 - np.argmax(_QUAD_DIGITS[:, ::-1] != 0, axis=1)).astype(np.int8)
@@ -83,7 +82,7 @@ class Formatter:
     back to the system between calls and paged in again."""
 
     def __init__(self, size: int):
-        self._int = np.empty((5, size), np.int64)
+        self._int = np.empty((2, size), np.int64)
         self._word = np.empty((6, size), np.uint64)
         self._small = np.empty((2, size), np.int8)
         self._flag = np.empty((2, size), bool)
@@ -95,24 +94,31 @@ class Formatter:
         view is fine); every word of it is written.
         """
         n = len(x)
-        e, k, D, V, t = self._int[:, :n]
-        w1, w2, shift, carry, word, fixed = self._word[:, :n]
-        # memory shared by values that are not needed at the same time
-        a, hi, lo, a_hi, a_lo, p = self._word[:, :n].view(np.float64)
-        quad0, quad2 = shift.view(np.int64), carry.view(np.int64)
+        # Each work row holds the values on its line, one after the other:
+        #   k:  16 - e, then se = 20 s + e + 4, then the table row
+        #   V:  V, then its quad 3
+        #   s0: |x| and 10^k's low part, then frame word 1
+        #   s1: hi, then quad 1, then frame word 2
+        #   s2: lo, then quad 0, then the shift
+        #   s3: |x|'s high part, then quad 2, then the carry
+        #   s4: |x|'s low part, then a temporary
+        #   s5: 10^k and its high part, then D and the pair, then a temporary
+        k, V = self._int[:, :n]
+        s0, s1, s2, s3, s4, s5 = self._word[:, :n]
         last, last_i = self._small[:, :n]
         fast, flag = self._flag[:, :n]
 
         # take(..., mode="clip") fills out= without a buffer and keeps the
         # indices made from rejected values, which the fallback overwrites,
         # in range
+        a, hi, lo, a_hi, a_lo, p = self._word[:, :n].view(np.float64)
         np.abs(x, out=a)
         np.greater_equal(a, 1e-4, out=fast)
         fast &= np.less(a, 1e16, out=flag)
         np.copyto(a, 1.0, where=np.invert(fast, out=flag))
         np.floor(np.log10(a, out=hi), out=hi)
-        np.copyto(e, hi, casting="unsafe")
-        np.subtract(16, e, out=k)
+        np.copyto(k, hi, casting="unsafe")
+        np.subtract(16, k, out=k)
         np.copyto(V, np.floor(a, out=hi), casting="unsafe")
         # hi + lo = a * 10^k exactly
         np.multiply(a, _POW10.take(k, out=p, mode="clip"), out=hi)
@@ -128,6 +134,7 @@ class Formatter:
         lo += np.multiply(a_lo, q, out=q)
         # hi >= 2^53 is an even integer wherever D can pass the range test
         # below, so rounding lo half to even rounds hi + lo half to even
+        D, t = s5.view(np.int64), s4.view(np.int64)
         np.copyto(D, hi, casting="unsafe")
         np.copyto(t, np.rint(lo, out=lo), casting="unsafe")
         D += t
@@ -136,10 +143,13 @@ class Formatter:
 
         V *= _NINE_POW10.take(k, out=t, mode="clip")
         V += D
+        se = np.subtract(20, k, out=k)
+        se += np.multiply(np.less(x, 0, out=flag), 20, out=t)
         pair = np.floor_divide(V, 10 ** 16, out=D)
         V -= np.multiply(pair, 10 ** 16, out=t)
-        quad1 = np.floor_divide(V, 10 ** 8, out=k)
+        quad0, quad1, quad2 = (s.view(np.int64) for s in (s2, s1, s3))
         quad3 = V
+        np.floor_divide(V, 10 ** 8, out=quad1)
         quad3 -= np.multiply(quad1, 10 ** 8, out=t)
         for top, bottom in ((quad0, quad1), (quad2, quad3)):
             np.floor_divide(bottom, 10 ** 4, out=top)
@@ -147,18 +157,16 @@ class Formatter:
         _LAST[0].take(quad0, out=last, mode="clip")
         for i, quad in ((1, quad1), (2, quad2), (3, quad3)):
             np.maximum(last, _LAST[i].take(quad, out=last_i, mode="clip"), out=last)
-        se = e
-        se += 4
-        se += np.multiply(np.less(x, 0, out=flag), 20, out=t)
-        row = np.multiply(se, 18, out=t)
-        row += last
 
-        _QUAD_LO.take(quad0, out=w1, mode="clip")
-        w1 |= _QUAD_HI.take(quad1, out=word, mode="clip")
-        _QUAD_LO.take(quad2, out=w2, mode="clip")
-        w2 |= _QUAD_HI.take(quad3, out=word, mode="clip")
+        w1, w2, shift, carry, word, fixed = s0, s1, s2, s3, s4, s5
+        for frame_word, (first, second) in ((w1, (quad0, quad1)), (w2, (quad2, quad3))):
+            _QUAD.take(first, out=frame_word, mode="clip")
+            frame_word |= np.left_shift(_QUAD.take(second, out=word, mode="clip"), 32, out=word)
         _SHIFT.take(se, out=shift, mode="clip")
         np.subtract(64, shift, out=carry)
+        row = se
+        row *= 18
+        row += last
         frame = (_PAIR.take(pair, out=word, mode="clip"), w1, w2)
         for w in range(WORDS):
             np.right_shift(frame[w], shift, out=word)
