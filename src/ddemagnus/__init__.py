@@ -12,8 +12,7 @@ from .spectral import (ChebyshevGrid, OutOfRangeError, chebyshev_nodes,
                        differentiation_matrix, interpolate_window)
 from .linalg import (NumericalFailure, commutator, eigenvalues, expm,
                      sort_spectrum)
-from .magnus_linear import (LINEAR_ORDERS, MagnusConvergenceWarning,
-                            magnus_step, magnus_step_matrix)
+from .magnus_linear import LINEAR_ORDERS, magnus_step, magnus_step_matrix
 from .magnus_nonlinear import NONLINEAR_ORDERS, nonlinear_magnus_step
 from .dde import (DiscretizedSystem, LinearDDEProblem, MonodromyResult,
                   QuasilinearDDEProblem, Trajectory, assemble_linear,
@@ -28,8 +27,8 @@ __all__ = [
     "ChebyshevGrid", "OutOfRangeError", "chebyshev_nodes",
     "differentiation_matrix", "interpolate_window",
     "NumericalFailure", "commutator", "eigenvalues", "expm", "sort_spectrum",
-    "LINEAR_ORDERS", "MagnusConvergenceWarning", "magnus_step",
-    "magnus_step_matrix", "NONLINEAR_ORDERS", "nonlinear_magnus_step",
+    "LINEAR_ORDERS", "magnus_step", "magnus_step_matrix",
+    "NONLINEAR_ORDERS", "nonlinear_magnus_step",
     "DiscretizedSystem", "LinearDDEProblem", "MonodromyResult",
     "QuasilinearDDEProblem", "Trajectory", "assemble_linear",
     "assemble_quasilinear", "discretize", "monodromy", "solve",

@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,7 +28,6 @@ from . import __version__
 from .dde import (LinearDDEProblem, admissible_orders, monodromy, solve,
                   stability_verdict)
 from .linalg import NumericalFailure
-from .magnus_linear import MagnusConvergenceWarning
 from .models import builtin_problem
 
 EXIT_OK = 0
@@ -53,7 +51,6 @@ class RunConfig:
     periods: Optional[float] = None
     out: Optional[str] = None
     store_steps: bool = False
-    warn_as_error: bool = False
     stability_tol: float = 1e-9
     m_list: Optional[list] = None
     n_list: Optional[list] = None
@@ -241,7 +238,7 @@ def _header_pairs(cfg: RunConfig, extra=()):
     for key in sorted(cfg.params):
         pairs.append((f"param.{key}", _fmt(cfg.params[key])))
     for key in ("N", "M", "order", "t_final", "periods", "store_steps",
-                "warn_as_error", "stability_tol", "m_list", "n_list"):
+                "stability_tol", "m_list", "n_list"):
         value = getattr(cfg, key)
         if value is not None:
             pairs.append((key, _fmt(value)))
@@ -514,9 +511,6 @@ def build_parser():
                             default=None, help="emit every Magnus step, not just "
                             "interval endpoints"),
         common.add_argument("--config", help="key = value file mirroring these flags"),
-        common.add_argument("--warn-as-error", dest="warn_as_error",
-                            action="store_true", default=None,
-                            help="escalate Magnus convergence warnings to failures"),
         common.add_argument("--stability-tol", dest="stability_tol", type=float,
                             help="half-width of the marginal band around |mu| = 1"),
     ]
@@ -553,14 +547,11 @@ def main(argv=None) -> int:
         bench = _build_benchmark(cfg)
         _fill_order(cfg, bench.problem)
         _validate_common(cfg)
-        with warnings.catch_warnings():
-            if cfg.warn_as_error:
-                warnings.simplefilter("error", MagnusConvergenceWarning)
-            return _COMMANDS[cfg.command](cfg, bench)
+        return _COMMANDS[cfg.command](cfg, bench)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalFailure, MagnusConvergenceWarning) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

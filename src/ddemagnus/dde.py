@@ -13,15 +13,13 @@ the solution loses smoothness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .linalg import NumericalFailure, eigenvalues
-from .magnus_linear import (LINEAR_ORDERS, MagnusConvergenceWarning, TopRows,
-                            collected_safeguard, magnus_step, magnus_step_matrix)
+from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix
 from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
@@ -335,19 +333,6 @@ def _nonfinite(g: int, k: int, state) -> NumericalFailure:
                             interval=g, step=k, partial=state)
 
 
-def _warn_safeguard(hits, g: int, start: float, h: float) -> None:
-    """One MagnusConvergenceWarning for the steps of interval g in ``hits``
-    (see :func:`~ddemagnus.magnus_linear.collected_safeguard`): the first
-    step over the bound and the largest estimate, from the caller of solve
-    or monodromy."""
-    if hits:
-        first = round((hits[0][0] - start) / h)
-        warnings.warn(
-            f"step size may exceed the Magnus convergence safeguard in interval {g}, "
-            f"step {first}: h * ||A(midpoint)||_2 ~ {max(e for _, e in hits):.3g} >= pi",
-            MagnusConvergenceWarning, stacklevel=4)  # past _propagate and solve/monodromy
-
-
 def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                steps: Optional[list] = None) -> list:
     """Advance a vector or matrix state across the planned intervals.
@@ -361,11 +346,10 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     interval of that phase then gets all of its states as one product of
     the stacked C_k with its start state, after a spot check of the period:
     A and B at its start against their values at the phase, evaluated once
-    and kept with the C_k.  The convergence safeguard warns at most once per
-    stepped interval (:func:`_warn_safeguard`).  A coefficient or
-    exponential that rejects its input (wrong shape, non-finite entries),
-    a failed spot check and a non-finite state all raise NumericalFailure
-    with the interval and step.
+    and kept with the C_k.  A coefficient or exponential that rejects its
+    input (wrong shape, non-finite entries), a failed spot check and a
+    non-finite state all raise NumericalFailure with the interval and
+    step.
     """
     step = system.stepper(order, state)
     cumulative = {}
@@ -379,14 +363,12 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
             try:
                 if phase is None:
                     states = None if steps is None else np.empty((n_steps,) + state.shape)
-                    with collected_safeguard() as hits:
-                        for k in range(n_steps):
-                            state = step(t0 + k * h, h, state)
-                            if not np.isfinite(state).all():
-                                raise _nonfinite(g, k, state)
-                            if states is not None:
-                                states[k] = state
-                    _warn_safeguard(hits, g, t0, h)
+                    for k in range(n_steps):
+                        state = step(t0 + k * h, h, state)
+                        if not np.isfinite(state).all():
+                            raise _nonfinite(g, k, state)
+                        if states is not None:
+                            states[k] = state
                 else:
                     if phase not in cumulative:
                         cumulative[phase] = system.coefficients(phase), None
@@ -397,10 +379,8 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                         eye = np.eye(system.big_dim)
                         propagator = system.stepper(order, eye)
                         C = np.empty((n_steps,) + eye.shape)
-                        with collected_safeguard() as hits:
-                            for k in range(n_steps):
-                                C[k] = propagator(phase + k * h, h, C[k - 1] if k else eye)
-                        _warn_safeguard(hits, g, phase, h)
+                        for k in range(n_steps):
+                            C[k] = propagator(phase + k * h, h, C[k - 1] if k else eye)
                         cumulative[phase] = at_phase, C
                     states = (C.reshape(-1, C.shape[-1]) @ state).reshape((n_steps,) + state.shape)
                     finite = np.isfinite(states.reshape(n_steps, -1)).all(axis=1)

@@ -4,7 +4,10 @@ Each step builds a truncated Magnus exponent from Gauss-Legendre
 evaluations of A (one, two or three points) plus the few commutators the
 order requires, then advances the state through one matrix exponential.
 For constant A every scheme reduces to exp(h*A), i.e. the step is exact
-on autonomous problems regardless of h.  A is evaluated as its varying
+on autonomous problems regardless of h.  No bound on h ||A|| is checked:
+the spectral rows alone put it at O(N^2 / M), far beyond the sufficient
+condition h ||A|| < pi for the Magnus series to converge, and the schemes
+still reach their order there.  A is evaluated as its varying
 top rows over constant lower rows (:class:`TopRows`), the structure of
 the spectrally discretized delay system.
 """
@@ -12,9 +15,6 @@ the spectrally discretized delay system.
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import partial
 
 import numpy as np
@@ -26,38 +26,21 @@ LINEAR_ORDERS = (2, 4, 6)
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
 
-# (t, h ||A||_2 estimate) of each step over the convergence safeguard while
-# a caller collects them (collected_safeguard); None warns at each such step
-_SAFEGUARD_HITS: ContextVar = ContextVar("safeguard_hits", default=None)
-
 # Gauss-Legendre nodes on [0, 1] of each order's quadrature
 _NODES = {2: (0.5,),
           4: (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0),
           6: (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)}
 
 
-class MagnusConvergenceWarning(UserWarning):
-    """Step size exceeds the safeguard under which the Magnus series is
-    guaranteed to converge.  The step is still taken; in practice the
-    bound is very pessimistic for stiff spectral operators."""
-
-
 class TopRows:
     """A(t) = [top(t); lower] = L + P R(t) with P = [I_d; 0]: ``top`` maps
     a time to the (d, n) rows R(t), ``lower`` is the constant (n - d, n)
-    block of L, used by reference; None means d = n.  The |lower| column
-    sums and largest row sum feed the convergence safeguard.
+    block of L, used by reference; None means d = n.
     """
 
     def __init__(self, top, lower=None):
         self.top = top
         self.lower = lower
-        if lower is None:
-            self.lower_col_sums, self.lower_row_max = 0.0, 0.0
-        else:
-            abs_lower = np.abs(lower)
-            self.lower_col_sums = abs_lower.sum(axis=0)
-            self.lower_row_max = float(abs_lower.sum(axis=1).max(initial=0.0))
 
 
 def _eval_matrix(A, time: float) -> np.ndarray:
@@ -65,36 +48,6 @@ def _eval_matrix(A, time: float) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix evaluator must return a square matrix")
     return M
-
-
-@contextmanager
-def collected_safeguard():
-    """Collect the convergence-safeguard hits of the steps taken inside the
-    block as (step start, h ||A||_2 estimate) pairs, in step order, instead
-    of warning at each: a driver can then warn once for many steps."""
-    hits = []
-    token = _SAFEGUARD_HITS.set(hits)
-    try:
-        yield hits
-    finally:
-        _SAFEGUARD_HITS.reset(token)
-
-
-def _check_convergence_bound(A: TopRows, top: np.ndarray, t: float, h: float) -> None:
-    # 2-norm of [top; lower] estimated as sqrt(norm_1 * norm_inf) to avoid an SVD
-    abs_top = np.abs(top)
-    est = h * math.sqrt((A.lower_col_sums + abs_top.sum(axis=0)).max()
-                        * max(A.lower_row_max, abs_top.sum(axis=1).max()))
-    if est >= math.pi:
-        hits = _SAFEGUARD_HITS.get()
-        if hits is not None:
-            hits.append((t, est))
-            return
-        # stacklevel 4: past _omega and magnus_step(_matrix), their caller
-        warnings.warn(
-            f"step size may exceed the Magnus convergence safeguard: "
-            f"h * ||A(midpoint)||_2 ~ {est:.3g} >= pi",
-            MagnusConvergenceWarning, stacklevel=4)
 
 
 def _dense_omega(rows, h: float, order: int) -> np.ndarray:
@@ -130,9 +83,6 @@ def _omega(A: TopRows, t: float, h: float, order: int) -> np.ndarray:
     if order not in _NODES:
         raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
     rows = [A.top(t + c * h) for c in _NODES[order]]
-    # A(midpoint); order 4 has no midpoint evaluation, the Gauss-point mean stands in
-    _check_convergence_bound(A, 0.5 * (rows[0] + rows[1]) if order == 4
-                             else rows[len(rows) // 2], t, h)
     if A.lower is None:
         return _dense_omega(rows, h, order)
     d, n = rows[0].shape
@@ -189,9 +139,6 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
         State at time t.
     order : {2, 4, 6}
         Convergence order of the scheme; the local error is O(h^(order+1)).
-
-    A step over the convergence safeguard warns from the caller, unless
-    it runs inside :func:`collected_safeguard`.
     """
     if not isinstance(A, TopRows):
         A = TopRows(partial(_eval_matrix, A))

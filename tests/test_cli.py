@@ -186,6 +186,20 @@ def assert_renders_as_percent_g17(values):
         pytest.fail(f"{value!r} rendered {text!r}, %.17g gives {want!r}")
 
 
+def assert_body_is_rows(body, rows):
+    """``body`` is the lines of ``_format_rows(rows)``, each ended by a newline.
+
+    A mismatch names the first differing row; a diff of whole bodies of
+    thousands of rows would take minutes to build.
+    """
+    got, want = body.split("\n"), _format_rows(rows) + [""]
+    for index, (line, expected) in enumerate(zip(got, want)):
+        if line != expected:
+            pytest.fail(f"row {index} is {line!r}, expected {expected!r}")
+    if len(got) != len(want):
+        pytest.fail(f"{len(got) - 1} rows, expected {len(want) - 1}")
+
+
 def test_g17_matches_percent_format_over_the_exponent_range():
     rng = np.random.default_rng(20261018)
     signs = rng.choice([-1.0, 1.0], size=1_000_000)
@@ -249,10 +263,9 @@ def test_solve_rows_render_as_the_generic_formatter():
               np.array([float("-inf"), 0.1, -2.5, 1e16, 5e-324, 1e-4])]
     traj = Trajectory(grid=grid, d=2, order=2, M=1, problem="",
                       times=np.array([0.0, -1.5, 12345.678]), states=states)
-    expected = _format_rows(
-        (k, j, float(traj.times[k] + theta), c, float(states[k][2 * j + c]))
-        for k in (1, 2) for j, theta in enumerate(grid.nodes_shifted) for c in range(2))
-    assert "\n".join(_solve_lines(traj)) == "\n".join(expected)
+    rows = [(k, j, float(traj.times[k] + theta), c, float(states[k][2 * j + c]))
+            for k in (1, 2) for j, theta in enumerate(grid.nodes_shifted) for c in range(2)]
+    assert_body_is_rows("\n".join(_solve_lines(traj)) + "\n", rows)
 
 
 @pytest.mark.parametrize("problem, argv", [
@@ -277,7 +290,7 @@ def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatc
         assert run_cli(["solve", "--problem", problem, *argv, "--store-steps",
                         "--out", str(out)], capsys)[0] == 0
         body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
-        assert body == "\n".join(_format_rows(rows)) + "\n"
+        assert_body_is_rows(body, rows)
 
 
 @pytest.mark.parametrize("N", ["2", "10"])
@@ -296,7 +309,7 @@ def test_solve_rows_of_a_thousand_intervals_and_more(tmp_path, capsys, N):
     assert run_cli(["solve", "--problem", "example1", *argv, "--store-steps",
                     "--out", str(out)], capsys)[0] == 0
     body = out.read_text(encoding="utf-8").split("component_index,value\n", 1)[1]
-    assert body == "\n".join(_format_rows(rows)) + "\n"
+    assert_body_is_rows(body, rows)
 
 
 def test_solve_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
@@ -465,7 +478,6 @@ OPTION_CASES = {
     "t_final": (["solve", "--N", "4", "--M", "8"], "1.5"),
     "periods": (["multipliers", "--N", "4", "--M", "4"], "2"),
     "store_steps": (_SOLVE, None),
-    "warn_as_error": (_SOLVE, None),
     "stability_tol": (["multipliers", "--N", "4", "--M", "4"], "0.5"),
     "m_list": (_STUDY, "2,4"),
     "n_list": (_STUDY + ["--M", "4"], "4,6"),
@@ -501,9 +513,11 @@ def test_config_key_accepts_flag_spellings(tmp_path, capsys, written, flag):
     assert from_file[1] == from_flag[1]
 
 
-@pytest.mark.parametrize("written", ["n", "m", "M-List", "t-Final", "m__list"])
+@pytest.mark.parametrize("written", ["n", "m", "M-List", "t-Final", "m__list",
+                                     "warn_as_error", "warn-as-error"])
 def test_config_key_spellings_stay_case_sensitive(tmp_path, capsys, written):
-    # N and M are different keys from a lowercase n or m, so no key is lowercased
+    # N and M are different keys from a lowercase n or m, so no key is
+    # lowercased; a name of no option is unknown in any spelling
     config = tmp_path / "run.cfg"
     config.write_text(f"{written} = 4\n")
     code, _, err = run_cli(["solve", "--t-final", "1", "--config", str(config)], capsys)
@@ -561,19 +575,23 @@ def test_unknown_problem_and_bad_param(capsys):
     assert code == 2 and "param" in err
 
 
-def test_warn_as_error_escalates(capsys):
-    # large step on a stiff spectral operator trips the Magnus guard
-    code, _, err = run_cli(["solve", "--problem", "example1", "--N", "20",
-                            "--M", "1", "--order", "2", "--t-final",
-                            "1.5707963", "--warn-as-error"], capsys)
-    assert code == 1 and "numerical failure" in err
+def test_warn_as_error_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(_SOLVE + ["--warn-as-error"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --warn-as-error" in capsys.readouterr().err
 
 
-def test_warn_as_error_ends_with_its_run(capsys):
-    argv = ["solve", "--problem", "example1", "--N", "20", "--M", "1",
-            "--order", "2", "--t-final", "1.5707963"]
-    assert run_cli(argv + ["--warn-as-error"], capsys)[0] == 1
-    assert run_cli(argv, capsys)[0] == 0
+def test_step_far_outside_the_magnus_series_bound_runs_without_warnings():
+    # one step per delay interval at N = 20 puts h ||A|| far above pi
+    src = str(Path(ddemagnus.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "ddemagnus",
+                           "solve", "--problem", "example1", "--N", "20", "--M", "1",
+                           "--order", "2", "--t-final", "1.5707963"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(parse_csv(done.stdout)[2]) == 21
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -588,10 +606,9 @@ def test_numerical_failure_exit_code(capsys):
 
 
 def test_overflowing_exponential_prints_only_the_failure():
-    # numpy's overflow warnings would only repeat the failure line; the
-    # convergence safeguard (a UserWarning) fires on this step by design
+    # numpy's overflow warnings would only repeat the failure line
     src = str(Path(ddemagnus.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-W", "ignore::UserWarning", "-m", "ddemagnus",
+    done = subprocess.run([sys.executable, "-m", "ddemagnus",
                            "solve", "--problem", "mathieu", "--param", "delta=-4e6",
                            "--N", "12", "--M", "1", "--order", "2", "--t-final", "12.566370"],
                           capture_output=True, text=True,

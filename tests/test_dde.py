@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +7,8 @@ import pytest
 from ddemagnus import (ChebyshevGrid, LinearDDEProblem, NumericalFailure,
                        OutOfRangeError, QuasilinearDDEProblem, assemble_linear,
                        assemble_quasilinear, builtin_problem, discretize,
-                       eigenvalues, expm, magnus_step, magnus_step_matrix, monodromy, solve,
-                       stability_verdict)
+                       eigenvalues, expm, monodromy, solve, stability_verdict)
 from ddemagnus.dde import MonodromyResult, Trajectory
-from ddemagnus.magnus_linear import MagnusConvergenceWarning, TopRows
 
 SQRT2 = np.sqrt(2.0)
 
@@ -386,36 +383,6 @@ def test_overflow_in_a_reused_interval_reports_the_uncached_location():
         located.append((info.value.interval, info.value.step))
     assert located[0] == located[1]
     assert located[0][0] >= 30 and 0 < located[0][1] < 16
-
-
-def test_convergence_warning_names_its_step_and_the_caller():
-    # A = -2000 (t mod 1) crosses the safeguard inside interval 0: one warning
-    # for the interval, naming the first step over the bound (the one where
-    # magnus_step starts to warn), from this file; over three periods the
-    # later intervals reuse interval 0's propagators and do not warn again
-    problem = LinearDDEProblem(d=1, tau=1.0, A=lambda t: np.array([[-2000.0 * (t % 1.0)]]),
-                               B=lambda t: np.array([[0.0]]),
-                               phi=lambda t: np.array([1.0]), period=1.0)
-    system = discretize(problem, 20)
-    rows = TopRows(system.top_rows, system._lower)
-    first = None
-    for k in range(256):
-        for step, y in ((magnus_step, system.phi_vector), (magnus_step_matrix, np.eye(21))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                step(rows, k / 256, 1 / 256, y, 6)
-            if caught:
-                assert caught[0].filename == __file__
-                first = k if first is None else first
-    assert first is not None and 0 < first < 255
-    for run in (lambda: solve(problem, 20, 256, 6, 1.0), lambda: monodromy(problem, 20, 256, 6),
-                lambda: solve(problem, 20, 256, 6, 3.0)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run()
-        assert [w.category for w in caught] == [MagnusConvergenceWarning]
-        assert f"in interval 0, step {first}:" in str(caught[0].message)
-        assert caught[0].filename == __file__
 
 
 def test_wrong_period_fails_the_spot_check():

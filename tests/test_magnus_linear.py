@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from ddemagnus import (ChebyshevGrid, MagnusConvergenceWarning, builtin_problem,
-                       commutator, discretize, expm, magnus_step,
-                       magnus_step_matrix, monodromy)
+from ddemagnus import (ChebyshevGrid, builtin_problem, commutator, discretize,
+                       expm, magnus_step, magnus_step_matrix, monodromy)
 from ddemagnus.magnus_linear import TopRows, _omega
 
 SQRT3, SQRT15 = np.sqrt(3.0), np.sqrt(15.0)
@@ -114,26 +111,8 @@ def test_nominal_convergence_order(order, window):
     assert window[0] <= slope <= window[1]
 
 
-def test_convergence_guard_warns_but_computes():
-    def A(t):
-        return np.array([[0.0, 10.0], [-10.0, 0.0]])
-
-    with pytest.warns(MagnusConvergenceWarning):
-        got = magnus_step(A, 0.0, 1.0, np.array([1.0, 0.0]), 2)
-    assert np.isfinite(got).all()
-
-
-def test_order4_guard_warns_on_stiff_step():
-    def A(t):
-        return np.array([[0.0, 10.0 + t], [-10.0 - t, 0.0]])
-
-    with pytest.warns(MagnusConvergenceWarning):
-        got = magnus_step(A, 0.0, 1.0, np.array([1.0, 0.0]), 4)
-    assert np.isfinite(got).all()
-
-
 def test_order4_step_evaluates_coefficient_twice():
-    # the two Gauss points feed both the exponent and the convergence guard
+    # one evaluation at each of the two Gauss points, none elsewhere
     calls = []
 
     def A(t):
@@ -142,17 +121,6 @@ def test_order4_step_evaluates_coefficient_twice():
 
     magnus_step(A, 0.0, 0.1, np.array([1.0, 0.0]), 4)
     assert len(calls) == 2
-
-
-def test_no_warning_inside_bound():
-    import warnings
-
-    def A(t):
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MagnusConvergenceWarning)
-        magnus_step(A, 0.0, 0.1, np.array([1.0, 0.0]), 2)
 
 
 def test_step_input_validation():
@@ -200,38 +168,6 @@ def test_plain_callable_and_factored_forms_give_the_same_exponent(order):
         dense = _omega(TopRows(full), t, h, order)
         assert_relative(_omega(TopRows(full, np.empty((0, n))), t, h, order), dense, 1e-13)
         assert_relative(_omega(rows, t, h, order), dense, 1e-13)
-
-
-def _safeguard_fires(A, t, h, order):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        magnus_step(A, t, h, np.ones(A.lower.shape[1]), order)
-    return any(issubclass(w.category, MagnusConvergenceWarning) for w in caught)
-
-
-def _dense_estimate(full, t, h, order):
-    # h * sqrt(||A||_1 ||A||_inf) of the full matrix at the midpoint (the
-    # Gauss-point mean for order 4), the estimate the safeguard stands for
-    if order == 4:
-        mid = 0.5 * (full(t + (0.5 - SQRT3 / 6.0) * h) + full(t + (0.5 + SQRT3 / 6.0) * h))
-    else:
-        mid = full(t + 0.5 * h)
-    return h * np.sqrt(np.abs(mid).sum(axis=0).max() * np.abs(mid).sum(axis=1).max())
-
-
-@pytest.mark.parametrize("order", [2, 4, 6])
-def test_structured_safeguard_fires_on_the_dense_estimate_steps(order):
-    rows, full = delay_rows(2, seed=7)
-    steps = [(t, h) for t in (0.0, 0.4, 2.0) for h in np.geomspace(0.005, 0.2, 12)]
-    fired = [_safeguard_fires(rows, t, h, order) for t, h in steps]
-    assert fired == [_dense_estimate(full, t, h, order) >= np.pi for t, h in steps]
-    assert 0 < sum(fired) < len(steps)
-    # constant top rows put the threshold at a known step size: either side
-    # of it within 1e-9 relative
-    const = TopRows(lambda t: rows.top(0.3), rows.lower)
-    critical = np.pi / _dense_estimate(lambda t: full(0.3), 0.0, 1.0, order)
-    assert not _safeguard_fires(const, 0.0, critical * (1.0 - 1e-9), order)
-    assert _safeguard_fires(const, 0.0, critical * (1.0 + 1e-9), order)
 
 
 def test_mathieu_monodromy_matches_dense_reference_propagation():
