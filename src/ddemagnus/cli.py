@@ -203,12 +203,14 @@ def _validate_common(cfg: RunConfig) -> None:
         raise ConfigError("field 'N': must be >= 1")
     if cfg.M < 1:
         raise ConfigError("field 'M': must be >= 1")
-    if not cfg.stability_tol >= 0:
-        raise ConfigError("field 'stability_tol': must be >= 0")
+    if not 0 <= cfg.stability_tol < math.inf:
+        raise ConfigError("field 'stability_tol': must be >= 0 and finite")
 
 
-def _stretched(problem, periods: float):
-    """``problem`` with its period stretched to ``periods`` periods."""
+def _stretched(problem, periods: float, whole: bool = False):
+    """``problem`` with its period stretched to ``periods`` periods, a whole
+    number of them if ``whole``: only then is the fundamental matrix at the
+    horizon a monodromy matrix, whose eigenvalues are multipliers."""
     if not 0 < periods < math.inf:
         raise ConfigError("field 'periods': must be positive and finite")
     period = getattr(problem, "period", None)
@@ -216,6 +218,8 @@ def _stretched(problem, periods: float):
         raise ConfigError("field 'periods': problem has no period")
     if not math.isfinite(periods * period):
         raise ConfigError("field 'periods': horizon periods * period overflows")
+    if whole and periods != round(periods):
+        raise ConfigError("field 'periods': multipliers need a whole number of periods")
     return replace(problem, period=periods * period)
 
 
@@ -295,19 +299,16 @@ def _solve_lines(trajectory):
     d = trajectory.d
     theta = np.repeat(trajectory.grid.nodes_shifted, d)
     size = len(theta)
-    if trajectory.steps is None:
-        intervals = [(trajectory.times[k:k + 1], trajectory.states[k][None])
-                     for k in range(1, len(trajectory.times))]
-    else:
-        intervals = trajectory.steps
+    intervals, times, states = (trajectory.intervals[1:], trajectory.times[1:],
+                                trajectory.states[1:])
     # digits of the largest k, j and c, and the 8-byte words that hold "\nk,j," and ",c,"
-    nk, nj, nc = (len(str(v)) for v in (len(intervals), trajectory.grid.N, d - 1))
+    nk, nj, nc = (len(str(v)) for v in (intervals[-1], trajectory.grid.N, d - 1))
     width = -(-max(nk + nj + 3, nc + 2) // 8)
-    # the prefix fields: "\nk," of each interval, "j," and ",c," of each
-    # row of a window
-    k_fields = np.zeros((len(intervals), 8 * width), np.uint8)
+    # the prefix fields: "\nk," of each interval k (row k), "j," and ",c,"
+    # of each row of a window
+    k_fields = np.zeros((intervals[-1] + 1, 8 * width), np.uint8)
     k_fields[:, [0, nk + 1]] = [ord("\n"), ord(",")]
-    k_fields[:, 1:nk + 1] = _digits(np.arange(1, len(intervals) + 1), nk)
+    k_fields[:, 1:nk + 1] = _digits(np.arange(intervals[-1] + 1), nk)
     j_fields = np.zeros((size, 8 * width), np.uint8)
     j_fields[:, nk + 2:nk + nj + 2] = _digits(np.arange(size) // d, nj)
     j_fields[:, nk + nj + 2] = ord(",")
@@ -325,33 +326,16 @@ def _solve_lines(trajectory):
     canvases = rows.reshape(-1, width + g17.WORDS)[:, width:]
     values = np.empty((windows, size, 2))
     formatter = g17.Formatter(values.size)
-
-    def flush(pieces):
-        # the pieces (k, times, states) of the windows in this chunk
-        filled = sum(len(times) for _, times, _ in pieces)
-        ks = np.repeat([k for k, _, _ in pieces], [len(times) for _, times, _ in pieces])
-        np.bitwise_or(j_words, k_words[ks, None], out=rows[:filled, :, 0, :width])
-        times = np.concatenate([times for _, times, _ in pieces])
-        np.add(times[:, None], theta, out=values[:filled, :, 0])
-        np.concatenate([states for _, _, states in pieces], out=values[:filled, :, 1])
+    for start in range(0, len(times), windows):
+        chunk = slice(start, start + windows)
+        filled = len(times[chunk])
+        np.bitwise_or(j_words, k_words[intervals[chunk], None], out=rows[:filled, :, 0, :width])
+        np.add(times[chunk, None], theta, out=values[:filled, :, 0])
+        values[:filled, :, 1] = states[chunk]
         formatter(values[:filled].reshape(-1), canvases[:2 * size * filled])
         rows[filled:] = 0   # past the rows of a short last chunk
         lines = buffer.translate(None, b"\0")
-        return str(memoryview(lines)[1:], "ascii")   # without the first "\n"
-
-    pieces, filled = [], 0
-    for k, (times, states) in enumerate(intervals):
-        done = 0
-        while done < len(times):
-            take = min(len(times) - done, windows - filled)
-            pieces.append((k, times[done:done + take], states[done:done + take]))
-            filled += take
-            done += take
-            if filled == windows:
-                yield flush(pieces)
-                pieces, filled = [], 0
-    if pieces:
-        yield flush(pieces)
+        yield str(memoryview(lines)[1:], "ascii")   # without the first "\n"
 
 
 def cmd_solve(cfg: RunConfig, bench) -> int:
@@ -371,7 +355,7 @@ def cmd_multipliers(cfg: RunConfig, bench) -> int:
         raise ConfigError("field 'problem': multipliers need a linear periodic problem")
     if cfg.t_final is not None:
         raise ConfigError("field 't_final': multipliers use --periods, not --t-final")
-    problem = _stretched(bench.problem, 1.0 if cfg.periods is None else cfg.periods)
+    problem = _stretched(bench.problem, 1.0 if cfg.periods is None else cfg.periods, whole=True)
     result = monodromy(problem, cfg.N, cfg.M, cfg.order)
     verdict = stability_verdict(result, cfg.stability_tol)
     dominant = abs(result.dominant)
@@ -411,10 +395,7 @@ def cmd_convergence(cfg: RunConfig, bench) -> int:
             raise ConfigError("field 'periods': multiplier study needs a linear problem")
         if bench.reference_multiplier is None:
             raise ConfigError("field 'problem': no reference multiplier available")
-        metric, problem = "multiplier", _stretched(bench.problem, cfg.periods)
-        if cfg.periods != round(cfg.periods):
-            raise ConfigError("field 'periods': a multiplier study needs a whole "
-                              "number of periods")
+        metric, problem = "multiplier", _stretched(bench.problem, cfg.periods, whole=True)
         # over p periods the multipliers are those of one period to the power p
         reference = bench.reference_multiplier ** round(cfg.periods)
 
@@ -548,7 +529,9 @@ def main(argv=None) -> int:
         _fill_order(cfg, bench.problem)
         _validate_common(cfg)
         return _COMMANDS[cfg.command](cfg, bench)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a ValueError here is an input check of solve or monodromy, such as
+        # a horizon inside the breaking-point snap; stepping raises NumericalFailure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalFailure as exc:

@@ -238,14 +238,16 @@ def discretize(problem: DDEProblem, N: int) -> DiscretizedSystem:
 
 @dataclass
 class Trajectory:
-    """Solution of a discretized DDE, stored window by window.
+    """Solution of a discretized DDE: one stack of delay windows.
 
     ``states[k]`` is the big state vector at ``times[k]``; its block j
     approximates x(times[k] + theta_j), so it covers the window
     [times[k] - tau, times[k]].  ``states[0]`` holds the sampled initial
-    function.  When the solve was asked to store every step, ``steps``
-    holds one pair per interval: the step end times, shape (steps,), and
-    the states there, shape (steps, big_dim).
+    function.  ``intervals[k]`` is the position, counting from 1, of the
+    delay interval that window k ends in (0 for the initial function).
+    The windows are the interval ends, or, when the solve was asked to
+    store every step, the step ends t0 + j h of each interval; the last
+    of those can differ from t_final in the last bit.
     """
 
     grid: ChebyshevGrid
@@ -254,8 +256,8 @@ class Trajectory:
     M: int
     problem: str
     times: np.ndarray
-    states: list
-    steps: Optional[list] = None
+    states: np.ndarray
+    intervals: np.ndarray
 
     @property
     def final_time(self) -> float:
@@ -268,10 +270,6 @@ class Trajectory:
     def endpoint_values(self, index: int = -1) -> np.ndarray:
         """x at times[index] (block 0 of the stored state)."""
         return self.states[index][:self.d]
-
-    def node_times(self, index: int = -1) -> np.ndarray:
-        """Abscissae of the window stored at ``index``, newest first."""
-        return self.times[index] + self.grid.nodes_shifted
 
     def at(self, t: float) -> np.ndarray:
         """Interpolated solution value x(t) from the covering window."""
@@ -334,12 +332,12 @@ def _nonfinite(g: int, k: int, state) -> NumericalFailure:
 
 
 def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
-               steps: Optional[list] = None) -> list:
+               every_step: bool = False) -> np.ndarray:
     """Advance a vector or matrix state across the planned intervals.
 
-    Returns the state at each interval end.  When ``steps`` is a list,
-    each interval appends to it the pair (step end times, states there).
-    An interval without a ``phase`` takes its steps one after the other
+    Returns one array: the start state, then the state at each interval
+    end, or with ``every_step`` at each step end.  An interval without a
+    ``phase`` takes its steps one after the other
     (:meth:`DiscretizedSystem.stepper`).  The first interval of a
     ``phase`` steps the cumulative propagators C_k = E_k ... E_1 of its
     steps at the reduced times, a matrix state from the identity; every
@@ -353,22 +351,24 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     """
     step = system.stepper(order, state)
     cumulative = {}
-    ends = []
+    out = np.empty((1 + sum(n if every_step else 1 for *_, n, _ in plan),) + state.shape)
+    out[0] = state
+    row = 1
     # a non-finite state raises NumericalFailure; numpy's overflow warnings
     # would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for g, t0, length, _, n_steps, phase in plan:
             h = length / n_steps
+            kept = out[row:row + (n_steps if every_step else 1)]
             k = 0
             try:
                 if phase is None:
-                    states = None if steps is None else np.empty((n_steps,) + state.shape)
                     for k in range(n_steps):
                         state = step(t0 + k * h, h, state)
                         if not np.isfinite(state).all():
                             raise _nonfinite(g, k, state)
-                        if states is not None:
-                            states[k] = state
+                        if every_step:
+                            kept[k] = state
                 else:
                     if phase not in cumulative:
                         cumulative[phase] = system.coefficients(phase), None
@@ -382,19 +382,20 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                         for k in range(n_steps):
                             C[k] = propagator(phase + k * h, h, C[k - 1] if k else eye)
                         cumulative[phase] = at_phase, C
-                    states = (C.reshape(-1, C.shape[-1]) @ state).reshape((n_steps,) + state.shape)
+                    states = kept if every_step else np.empty((n_steps,) + state.shape)
+                    np.matmul(C.reshape(-1, C.shape[-1]), state,
+                              out=states.reshape((-1,) + state.shape[1:]))
                     finite = np.isfinite(states.reshape(n_steps, -1)).all(axis=1)
                     if not finite.all():
                         k = int(np.argmin(finite))
                         raise _nonfinite(g, k, states[k])
-                    state = states[-1].copy()
+                    state = states[-1]
             except ValueError as exc:
                 raise NumericalFailure(f"{exc} in interval {g}, step {k}",
                                        interval=g, step=k, partial=state) from exc
-            if steps is not None:
-                steps.append((t0 + np.arange(1, n_steps + 1) * h, states))
-            ends.append(state)
-    return ends
+            kept[-1] = state
+            row += len(kept)
+    return out
 
 
 def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
@@ -410,8 +411,9 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     equal steps ending exactly at t_final.  A linear problem whose period
     is a whole number of delays forms the step propagators of its first
     period once and applies them to every later full interval (see
-    :func:`_interval_plan` and :func:`_propagate`).  ``store_steps`` keeps
-    every step's state in ``Trajectory.steps``.
+    :func:`_interval_plan` and :func:`_propagate`).  The trajectory holds
+    the window at each interval end, or with ``store_steps`` at each step
+    end (see :class:`Trajectory`).
 
     ``t_start``/``initial_state`` resume an integration from a stored
     window at a multiple of tau; by default the run starts at 0 from the
@@ -441,12 +443,13 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
         raise ValueError("t_final must lie beyond t_start")
 
     plan = _interval_plan(g0, t_final, tau, M, problem.period if kind == "linear" else None)
-    steps = [] if store_steps else None
-    states = [state] + _propagate(system, order, state, plan, steps)
-    times = [g0 * tau] + [t_end for _, _, _, t_end, *_ in plan]
+    ends = [t0 + np.arange(1, n_steps + 1) * (length / n_steps) if store_steps else [t_end]
+            for _, t0, length, t_end, n_steps, _ in plan]
     return Trajectory(grid=system.grid, d=problem.d, order=order, M=M,
-                      problem=problem.describe(), times=np.asarray(times),
-                      states=states, steps=steps)
+                      problem=problem.describe(), times=np.concatenate([[g0 * tau], *ends]),
+                      states=_propagate(system, order, state, plan, store_steps),
+                      intervals=np.repeat(np.arange(len(plan) + 1),
+                                          [1] + [len(t) for t in ends]))
 
 
 @dataclass

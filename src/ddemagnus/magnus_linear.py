@@ -135,7 +135,7 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
         or gives its varying top rows and constant lower block.
     t, h : float
         Step start and step size, 0 < h < inf.
-    y : array, shape (m,)
+    y : array, shape (m,) or (m, k)
         State at time t.
     order : {2, 4, 6}
         Convergence order of the scheme; the local error is O(h^(order+1)).
@@ -154,6 +154,4 @@ def magnus_step_matrix(A, t: float, h: float, Y, order: int) -> np.ndarray:
     """
     if np.ndim(Y) != 2:
         raise ValueError("Y must be a matrix")
-    if not isinstance(A, TopRows):
-        A = TopRows(partial(_eval_matrix, A))
-    return expm(_omega(A, t, h, order)) @ np.asarray(Y, dtype=float)
+    return magnus_step(A, t, h, Y, order)

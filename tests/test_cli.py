@@ -258,11 +258,12 @@ def test_g17_text_starts_its_canvas_and_padding_follows():
 
 def test_solve_rows_render_as_the_generic_formatter():
     grid = ChebyshevGrid.build(2, 1.0)
-    states = [np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
-              np.array([-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300]),
-              np.array([float("-inf"), 0.1, -2.5, 1e16, 5e-324, 1e-4])]
+    states = np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                       [-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300],
+                       [float("-inf"), 0.1, -2.5, 1e16, 5e-324, 1e-4]])
     traj = Trajectory(grid=grid, d=2, order=2, M=1, problem="",
-                      times=np.array([0.0, -1.5, 12345.678]), states=states)
+                      times=np.array([0.0, -1.5, 12345.678]), states=states,
+                      intervals=np.arange(3))
     rows = [(k, j, float(traj.times[k] + theta), c, float(states[k][2 * j + c]))
             for k in (1, 2) for j, theta in enumerate(grid.nodes_shifted) for c in range(2)]
     assert_body_is_rows("\n".join(_solve_lines(traj)) + "\n", rows)
@@ -280,8 +281,7 @@ def test_solve_store_steps_streams_the_generic_rows(tmp_path, capsys, monkeypatc
                            int(argv[3]), int(argv[5]), float(argv[7]), store_steps=True)
     d, theta = traj.d, traj.grid.nodes_shifted
     rows = [(k, j, float(t + theta[j]), c, float(state[j * d + c]))
-            for k, (times, states) in enumerate(traj.steps, start=1)
-            for t, state in zip(times, states)
+            for k, t, state in zip(traj.intervals[1:], traj.times[1:], traj.states[1:])
             for j in range(len(theta)) for c in range(d)]
     assert len({row[0] for row in rows}) == 3
     out = tmp_path / "steps.csv"
@@ -302,9 +302,9 @@ def test_solve_rows_of_a_thousand_intervals_and_more(tmp_path, capsys, N):
                            1575.0, store_steps=True)
     theta = traj.grid.nodes_shifted
     rows = [(k, j, float(t + theta[j]), 0, float(state[j]))
-            for k, (times, states) in enumerate(traj.steps, start=1)
-            for t, state in zip(times, states) for j in range(len(theta))]
-    assert len(traj.steps) > 1000
+            for k, t, state in zip(traj.intervals[1:], traj.times[1:], traj.states[1:])
+            for j in range(len(theta))]
+    assert traj.intervals[-1] > 1000
     out = tmp_path / "steps.csv"
     assert run_cli(["solve", "--problem", "example1", *argv, "--store-steps",
                     "--out", str(out)], capsys)[0] == 0
@@ -368,6 +368,15 @@ def test_multipliers_periods_stretch_the_monodromy(capsys):
     two = parse_csv(run_cli(argv + ["--periods", "2"], capsys)[1])[0]
     assert float(two["dominant_modulus"]) == pytest.approx(
         float(one["dominant_modulus"]) ** 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("value", ["0.5", "2.5", "1e-9"])
+def test_multipliers_need_whole_periods(capsys, value):
+    # the eigenvalues of Y(pT) are multipliers only for a whole number p
+    code, out, err = run_cli(["multipliers", "--problem", "example1", "--N", "6",
+                              "--M", "4", "--periods", value], capsys)
+    assert code == 2 and "field 'periods'" in err and "whole number" in err
+    assert out == ""
 
 
 def test_multipliers_needs_periodic_linear_problem(capsys):
@@ -638,3 +647,84 @@ def test_cli_version_and_help_exit():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+# Each numeric flag and parameter of every subcommand over bad and edge
+# values.  Huge values are left out: a horizon of 1e300, or --param
+# tau=1e-9 over a horizon of 1, would allocate a plan of one tuple per
+# delay interval before any check.
+_BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2.5", "1e-9")
+_BAD_FLAGS = ("--N", "--M", "--order", "--t-final", "--periods", "--stability-tol",
+              "--slope-floor", "--M-list", "--N-list", "--param")
+# (command, flag) -> the values that are legitimate there and exit 0; every
+# other combination is a usage error (exit 2) or a numerical failure (1)
+_LEGITIMATE = {
+    ("solve", "--t-final"): {"0.5", "2.5"},
+    ("audit", "--t-final"): {"0.5", "2.5"},
+    ("convergence", "--t-final"): {"0.5", "2.5"},
+    # a solve may end inside a period; the sir model of audit has no period
+    ("solve", "--periods"): {"0.5", "2.5"},
+    ("convergence", "--slope-floor"): {"0", "-1", "0.5", "2.5", "1e-9"},
+    ("solve", "--param"): {"0.5", "2.5"},
+    ("audit", "--param"): {"0.5", "2.5"},
+    **{(command, "--stability-tol"): {"0", "0.5", "2.5", "1e-9"}
+       for command in ("solve", "multipliers", "convergence", "audit")},
+}
+
+
+def _bad_input_argv(command, flag, value, out):
+    problem = "sir" if command == "audit" or flag == "--param" else "example1"
+    argv = [command, "--problem", problem, "--N", "4", "--M", "4", "--out", str(out)]
+    if command == "convergence" and flag not in ("--M-list", "--N-list"):
+        argv += ["--M-list", "2,4"]
+    if command != "multipliers" and flag not in ("--t-final", "--periods"):
+        argv += ["--t-final", "1"]
+    if flag == "--param":
+        return argv + ["--param", f"tau={value}"] if value != "1e-9" else None
+    return argv + [flag, value]
+
+
+def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
+    wrong = []
+    for command in ("solve", "multipliers", "convergence", "audit"):
+        for flag in _BAD_FLAGS:
+            for value in _BAD_VALUES:
+                out = tmp_path / f"{command}{flag}={value}.csv"
+                argv = _bad_input_argv(command, flag, value, out)
+                if argv is None:
+                    continue
+                try:
+                    code = main(argv)
+                except SystemExit as exc:   # argparse rejects the value
+                    code = exc.code
+                except Exception as exc:
+                    code = f"raised {exc!r}"
+                err = capsys.readouterr().err
+                if value in _LEGITIMATE.get((command, flag), ()):
+                    fine = code == 0 and out.exists()
+                else:
+                    fine = code in (1, 2) and "Traceback" not in err and not out.exists()
+                if not fine:
+                    wrong.append(f"{' '.join(argv)}: exit {code}, stderr {err!r}")
+    assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.parametrize("command", ["solve", "multipliers", "convergence", "audit"])
+def test_infinite_stability_tolerance_is_a_usage_error(tmp_path, capsys, command):
+    # with an infinite marginal band every verdict would read "marginal"
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(_bad_input_argv(command, "--stability-tol", "inf", out), capsys)
+    assert code == 2 and "field 'stability_tol'" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "example1", "--t-final", "1e-9"],
+    ["solve", "--problem", "example1", "--periods", "1e-9"],
+    ["audit", "--problem", "sir", "--t-final", "1e-9"],
+    ["convergence", "--problem", "example1", "--M-list", "2,4", "--t-final", "1e-9"],
+])
+def test_horizon_inside_the_breakpoint_snap_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(argv + ["--N", "4", "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "snap" in err

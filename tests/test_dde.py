@@ -175,11 +175,11 @@ def test_solve_stores_steps_on_request():
     bench = builtin_problem("example1")
     tau = bench.problem.tau
     traj = solve(bench.problem, 6, 5, 2, tau, store_steps=True)
-    assert len(traj.steps) == 1
-    times, states = traj.steps[0]
-    assert times.shape == (5,) and states.shape == (5, 7)
-    assert times[-1] == pytest.approx(tau)
-    np.testing.assert_array_equal(states[-1], traj.final_state)
+    np.testing.assert_array_equal(traj.intervals, [0, 1, 1, 1, 1, 1])
+    assert traj.times.shape == (6,) and traj.states.shape == (6, 7)
+    np.testing.assert_array_equal(traj.times[1:], np.arange(1, 6) * (tau / 5))
+    assert traj.final_time == pytest.approx(tau)
+    np.testing.assert_array_equal(traj.final_state, solve(bench.problem, 6, 5, 2, tau).final_state)
 
 
 def test_trajectory_interpolation_matches_exact_solution():
@@ -318,12 +318,12 @@ def test_periodic_reuse_matches_uncached_solve(name, N, M, t_final):
     reused = solve(problem, N, M, 6, t_final, store_steps=True)
     direct = solve(dataclasses.replace(problem, period=None), N, M, 6, t_final,
                    store_steps=True)
-    assert len(reused.steps) == len(direct.steps)
-    for (t_a, states_a), (t_b, states_b) in zip(reused.steps, direct.steps):
-        np.testing.assert_array_equal(t_a, t_b)
-        assert states_a.shape == states_b.shape == (len(t_b), problem.d * (N + 1))
-        for state_a, state_b in zip(states_a, states_b):
-            assert np.abs(state_a - state_b).max() <= 1e-12 * np.abs(state_b).max()
+    np.testing.assert_array_equal(reused.intervals, direct.intervals)
+    np.testing.assert_array_equal(reused.times, direct.times)
+    assert reused.states.shape == direct.states.shape == (len(direct.times),
+                                                          problem.d * (N + 1))
+    for state_a, state_b in zip(reused.states, direct.states):
+        assert np.abs(state_a - state_b).max() <= 1e-12 * np.abs(state_b).max()
 
 
 def test_periodic_reuse_evaluates_first_period_only():
@@ -455,7 +455,8 @@ def test_stability_verdict_cases():
 def window(values, grid, window_end):
     """A one-window Trajectory holding ``values`` on [window_end - tau, window_end]."""
     return Trajectory(grid=grid, d=len(values) // (grid.N + 1), order=2, M=1,
-                      problem="", times=np.array([window_end]), states=[values])
+                      problem="", times=np.array([window_end]), states=values[None],
+                      intervals=np.zeros(1, int))
 
 
 def test_mean_error_basics():
