@@ -15,9 +15,8 @@ from .linalg import (NumericalFailure, commutator, eigenvalues, expm,
 from .magnus_linear import LINEAR_ORDERS, magnus_step, magnus_step_matrix
 from .magnus_nonlinear import NONLINEAR_ORDERS, nonlinear_magnus_step
 from .dde import (DiscretizedSystem, LinearDDEProblem, MonodromyResult,
-                  QuasilinearDDEProblem, Trajectory, assemble_linear,
-                  assemble_quasilinear, discretize, monodromy, solve,
-                  stability_verdict)
+                  QuasilinearDDEProblem, Trajectory, discretize, monodromy,
+                  solve, stability_verdict)
 from .models import (BenchmarkProblem, MATHIEU_CRITICAL_B,
                      MATHIEU_REFERENCE_MULTIPLIER, builtin_problem,
                      example1_scalar_periodic, example2_delayed_mathieu,
@@ -30,9 +29,8 @@ __all__ = [
     "LINEAR_ORDERS", "magnus_step", "magnus_step_matrix",
     "NONLINEAR_ORDERS", "nonlinear_magnus_step",
     "DiscretizedSystem", "LinearDDEProblem", "MonodromyResult",
-    "QuasilinearDDEProblem", "Trajectory", "assemble_linear",
-    "assemble_quasilinear", "discretize", "monodromy", "solve",
-    "stability_verdict", "BenchmarkProblem",
+    "QuasilinearDDEProblem", "Trajectory", "discretize", "monodromy",
+    "solve", "stability_verdict", "BenchmarkProblem",
     "MATHIEU_CRITICAL_B", "MATHIEU_REFERENCE_MULTIPLIER", "builtin_problem",
     "example1_scalar_periodic", "example2_delayed_mathieu",
     "example3_scalar_nonlinear", "example4_delayed_sir",

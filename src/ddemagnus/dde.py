@@ -29,6 +29,11 @@ from .spectral import ChebyshevGrid, interpolate_window
 # delay intervals.
 BREAKPOINT_SNAP = 1e-4
 
+# Most delay intervals one run may span: the plan and the stored windows
+# grow with the count, so a horizon of 1e300 (or tau = 1e-9 over 1) fails
+# before they are built.  2**20 is 1000 times the longest run in the tests.
+MAX_INTERVALS = 2 ** 20
+
 
 def _check_positive_finite(name: str, value: float) -> None:
     # a bare `value <= 0` test would let NaN and inf through
@@ -56,7 +61,6 @@ class LinearDDEProblem:
     B: Callable[[float], np.ndarray]
     phi: Callable[[float], np.ndarray]
     period: Optional[float] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.d < 1:
@@ -64,10 +68,6 @@ class LinearDDEProblem:
         _check_positive_finite("delay tau", self.tau)
         if self.period is not None:
             _check_positive_finite("period", self.period)
-
-    def describe(self) -> str:
-        base = f"linear d={self.d} tau={self.tau!r}"
-        return f"{base} [{self.label}]" if self.label else base
 
 
 @dataclass
@@ -83,16 +83,11 @@ class QuasilinearDDEProblem:
     tau: float
     A: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[float], np.ndarray]
-    label: str = ""
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("state dimension d must be >= 1")
         _check_positive_finite("delay tau", self.tau)
-
-    def describe(self) -> str:
-        base = f"quasilinear d={self.d} tau={self.tau!r}"
-        return f"{base} [{self.label}]" if self.label else base
 
 
 DDEProblem = Union[LinearDDEProblem, QuasilinearDDEProblem]
@@ -162,10 +157,14 @@ class DiscretizedSystem:
         return np.concatenate((self.top_rows(t), self._lower))
 
     def matrix_of_state(self, state: np.ndarray) -> np.ndarray:
-        """Assembled system matrix for a big state vector (quasilinear problems)."""
+        """Assembled system matrix for a big state vector (quasilinear problems),
+        whose last d components (the fully delayed block) give A(x)."""
         d, n = self.d, self.big_dim
+        state = np.asarray(state, dtype=float)
+        if state.shape != (n,):
+            raise ValueError(f"state has shape {state.shape}, expected ({n},)")
         out = np.zeros((d, n))
-        out[:, :d] = _coefficient(self.problem.A, np.asarray(state)[n - d:], d, "A(x)")
+        out[:, :d] = _coefficient(self.problem.A, state[n - d:], d, "A(x)")
         return np.concatenate((out, self._lower))
 
     def stepper(self, order: int, state: np.ndarray):
@@ -199,30 +198,6 @@ class DiscretizedSystem:
                                  f"period of the coefficients")
 
 
-def assemble_linear(problem: LinearDDEProblem, grid: ChebyshevGrid, t: float) -> np.ndarray:
-    """System matrix of the discretized linear DDE at time t.
-
-    First d rows: A(t) in the leading d x d block, B(t) in the trailing
-    one, zeros between.  Remaining rows: the scaled spectral
-    differentiation of the history window.
-    """
-    return DiscretizedSystem(problem, grid).matrix_at(t)
-
-
-def assemble_quasilinear(problem: QuasilinearDDEProblem, grid: ChebyshevGrid,
-                         state: np.ndarray) -> np.ndarray:
-    """System matrix of the discretized quasilinear DDE for the given big state.
-
-    Only the last d components of the state (the fully delayed block)
-    enter the coefficients; the trailing upper block is zero.
-    """
-    system = DiscretizedSystem(problem, grid)
-    state = np.asarray(state, dtype=float)
-    if state.shape != (system.big_dim,):
-        raise ValueError(f"state has shape {state.shape}, expected ({system.big_dim},)")
-    return system.matrix_of_state(state)
-
-
 def discretize(problem: DDEProblem, N: int) -> DiscretizedSystem:
     """Build the grid for the problem's delay and sample phi at the shifted nodes."""
     grid = ChebyshevGrid.build(N, problem.tau)
@@ -252,9 +227,6 @@ class Trajectory:
 
     grid: ChebyshevGrid
     d: int
-    order: int
-    M: int
-    problem: str
     times: np.ndarray
     states: np.ndarray
     intervals: np.ndarray
@@ -311,6 +283,9 @@ def _interval_plan(first: int, t_final: float, tau: float, M: int,
     if M < 1:
         raise ValueError("M (steps per delay interval) must be >= 1")
     ratio = (t_final - first * tau) / tau
+    if ratio > MAX_INTERVALS:   # also an infinite ratio, which floor would reject
+        raise ValueError(f"t_final = {t_final!r} spans {ratio:.3g} delay intervals, "
+                         f"more than the {MAX_INTERVALS} a run may take")
     n_full = int(math.floor(ratio + BREAKPOINT_SNAP))
     p = round(period / tau) if period is not None else 0
     shared = p >= 1 and abs(period - p * tau) <= 1e-12 * period and n_full > p
@@ -321,8 +296,8 @@ def _interval_plan(first: int, t_final: float, tau: float, M: int,
         g = first + n_full
         plan.append((g, g * tau, t_final - g * tau, t_final, int(math.ceil(M * frac)), None))
     if not plan:
-        raise ValueError("end time is indistinguishable from the start time "
-                         "(closer than the breaking-point snap tolerance)")
+        raise ValueError(f"t_final = {t_final!r} is indistinguishable from the start "
+                         f"time (closer than the breaking-point snap tolerance)")
     return plan
 
 
@@ -339,15 +314,15 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     end, or with ``every_step`` at each step end.  An interval without a
     ``phase`` takes its steps one after the other
     (:meth:`DiscretizedSystem.stepper`).  The first interval of a
-    ``phase`` steps the cumulative propagators C_k = E_k ... E_1 of its
-    steps at the reduced times, a matrix state from the identity; every
-    interval of that phase then gets all of its states as one product of
-    the stacked C_k with its start state, after a spot check of the period:
-    A and B at its start against their values at the phase, evaluated once
-    and kept with the C_k.  A coefficient or exponential that rejects its
-    input (wrong shape, non-finite entries), a failed spot check and a
-    non-finite state all raise NumericalFailure with the interval and
-    step.
+    ``phase`` forms the cumulative propagators C_k = E_k ... E_1 of its
+    steps by propagating the identity over it at the reduced times, as
+    :func:`monodromy` does over a period; every interval of that phase
+    then gets all of its states as one product of the stacked C_k with its
+    start state, after a spot check of the period: A and B at its start
+    against their values at the phase, evaluated once and kept with the
+    C_k.  A coefficient or exponential that rejects its input (wrong shape,
+    non-finite entries), a failed spot check and a non-finite state or
+    C_k all raise NumericalFailure with the interval and step.
     """
     step = system.stepper(order, state)
     cumulative = {}
@@ -370,17 +345,12 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                         if every_step:
                             kept[k] = state
                 else:
-                    if phase not in cumulative:
-                        cumulative[phase] = system.coefficients(phase), None
-                    at_phase, C = cumulative[phase]
+                    at_phase, C = cumulative.get(phase) or (system.coefficients(phase), None)
                     if phase != t0:
                         system.check_period(t0, phase, at_phase)
                     if C is None:
-                        eye = np.eye(system.big_dim)
-                        propagator = system.stepper(order, eye)
-                        C = np.empty((n_steps,) + eye.shape)
-                        for k in range(n_steps):
-                            C[k] = propagator(phase + k * h, h, C[k - 1] if k else eye)
+                        C = _propagate(system, order, np.eye(system.big_dim),
+                                       [(g, phase, length, None, n_steps, None)], True)[1:]
                         cumulative[phase] = at_phase, C
                     states = kept if every_step else np.empty((n_steps,) + state.shape)
                     np.matmul(C.reshape(-1, C.shape[-1]), state,
@@ -445,8 +415,7 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     plan = _interval_plan(g0, t_final, tau, M, problem.period if kind == "linear" else None)
     ends = [t0 + np.arange(1, n_steps + 1) * (length / n_steps) if store_steps else [t_end]
             for _, t0, length, t_end, n_steps, _ in plan]
-    return Trajectory(grid=system.grid, d=problem.d, order=order, M=M,
-                      problem=problem.describe(), times=np.concatenate([[g0 * tau], *ends]),
+    return Trajectory(grid=system.grid, d=problem.d, times=np.concatenate([[g0 * tau], *ends]),
                       states=_propagate(system, order, state, plan, store_steps),
                       intervals=np.repeat(np.arange(len(plan) + 1),
                                           [1] + [len(t) for t in ends]))
@@ -463,9 +432,6 @@ class MonodromyResult:
 
     monodromy: np.ndarray
     multipliers: np.ndarray
-    N: int
-    M: int
-    order: int
 
     @property
     def dominant(self) -> complex:
@@ -490,8 +456,7 @@ def monodromy(problem: LinearDDEProblem, N: int, M: int, order: int) -> Monodrom
     system = discretize(problem, N)
     plan = _interval_plan(0, problem.period, problem.tau, M)
     Y = _propagate(system, order, np.eye(system.big_dim), plan)[-1]
-    return MonodromyResult(monodromy=Y, multipliers=eigenvalues(Y),
-                           N=N, M=M, order=order)
+    return MonodromyResult(monodromy=Y, multipliers=eigenvalues(Y))
 
 
 def stability_verdict(result: MonodromyResult, tol: float = 0.0) -> str:

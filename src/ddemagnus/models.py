@@ -71,7 +71,7 @@ def example1_scalar_periodic() -> BenchmarkProblem:
         return np.array([math.exp(math.sin(t)) * math.cos(t)])
 
     problem = LinearDDEProblem(d=1, tau=tau, A=coeff_a, B=coeff_b, phi=exact,
-                               period=2.0 * math.pi, label="example1")
+                               period=2.0 * math.pi)
     return BenchmarkProblem(
         name="example1", problem=problem, exact=exact,
         reference_multiplier=1.0 + 0.0j,
@@ -115,7 +115,7 @@ def example2_delayed_mathieu(delta: float = 1.5, epsilon: float = 0.5,
                       "circle at +1 (stability-chart boundary); other branches "
                       "are already unstable at these delta, epsilon")
     problem = LinearDDEProblem(d=2, tau=tau, A=coeff_a, B=coeff_b, phi=phi,
-                               period=period, label="mathieu")
+                               period=period)
     return BenchmarkProblem(name="mathieu", problem=problem, exact=None,
                             reference_multiplier=reference, provenance=provenance)
 
@@ -138,8 +138,7 @@ def example3_scalar_nonlinear() -> BenchmarkProblem:
     def exact(t):
         return np.array([math.exp(math.sin(t))])
 
-    problem = QuasilinearDDEProblem(d=1, tau=tau, A=coeff, phi=exact,
-                                    label="nonlinear-scalar")
+    problem = QuasilinearDDEProblem(d=1, tau=tau, A=coeff, phi=exact)
     return BenchmarkProblem(name="nonlinear-scalar", problem=problem, exact=exact,
                             provenance="exp(sin t) satisfies the equation identically")
 
@@ -188,7 +187,7 @@ def example4_delayed_sir(alpha: float = 0.0, beta: float = 1.0,
     def phi(t):
         return np.array([s0, i0 + slope * t, r0])
 
-    problem = QuasilinearDDEProblem(d=3, tau=tau, A=coeff, phi=phi, label="sir")
+    problem = QuasilinearDDEProblem(d=3, tau=tau, A=coeff, phi=phi)
     return BenchmarkProblem(
         name="sir", problem=problem, exact=None,
         conserved_total=s0 + i0 + r0,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ddemagnus import (ChebyshevGrid, LinearDDEProblem, assemble_linear,
+from ddemagnus import (ChebyshevGrid, DiscretizedSystem, LinearDDEProblem,
                        builtin_problem, discretize, eigenvalues, expm,
                        magnus_step, monodromy, solve,
                        MATHIEU_CRITICAL_B, MATHIEU_REFERENCE_MULTIPLIER)
@@ -49,7 +49,7 @@ def test_criterion_01_assembly_regression():
     prob = LinearDDEProblem(d=1, tau=tau, A=lambda t: np.array([[a]]),
                             B=lambda t: np.array([[b]]),
                             phi=lambda t: np.array([1.0]))
-    got = assemble_linear(prob, ChebyshevGrid.build(4, tau), 0.0)
+    got = DiscretizedSystem(prob, ChebyshevGrid.build(4, tau)).matrix_at(0.0)
     err = np.abs(got - expected).max() / np.abs(expected).max()
     report(1, "A4 assembly regression", err <= 1e-14,
            f"max relative entry error {err:.2e}")
@@ -208,7 +208,7 @@ def test_criterion_12_spectral_eigenvalue_convergence():
                             phi=lambda t: np.array([1.0]))
     errors = []
     for N in (5, 10, 15, 20):
-        vals = eigenvalues(assemble_linear(prob, ChebyshevGrid.build(N, 1.0), 0.0))
+        vals = eigenvalues(DiscretizedSystem(prob, ChebyshevGrid.build(N, 1.0)).matrix_at(0.0))
         rightmost = vals[np.argmax(vals.real)]
         errors.append(abs(rightmost - lam))
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))

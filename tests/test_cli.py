@@ -261,8 +261,7 @@ def test_solve_rows_render_as_the_generic_formatter():
     states = np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300],
                        [float("-inf"), 0.1, -2.5, 1e16, 5e-324, 1e-4]])
-    traj = Trajectory(grid=grid, d=2, order=2, M=1, problem="",
-                      times=np.array([0.0, -1.5, 12345.678]), states=states,
+    traj = Trajectory(grid=grid, d=2, times=np.array([0.0, -1.5, 12345.678]), states=states,
                       intervals=np.arange(3))
     rows = [(k, j, float(traj.times[k] + theta), c, float(states[k][2 * j + c]))
             for k in (1, 2) for j, theta in enumerate(grid.nodes_shifted) for c in range(2)]
@@ -567,6 +566,43 @@ def test_convergence_multiplier_study_needs_whole_periods(capsys, value):
     assert code == 2 and "field 'periods'" in err and "whole number" in err
 
 
+def test_config_skips_blank_and_comment_lines_and_reads_false_words(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("\n# step count\nM = 3\n   \nstore_steps = no\n")
+    argv = ["solve", "--N", "4", "--t-final", "1"]
+    from_file = run_cli(argv + ["--config", str(config)], capsys)
+    assert from_file[0] == 0
+    assert from_file == run_cli(argv + ["--M", "3"], capsys)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "field 'config': cannot read"),
+    ("M = 3\nN 6\n", "run.cfg:2: expected key = value"),
+    ("store_steps = maybe\n", "field 'store_steps': cannot parse 'maybe'"),
+])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, message):
+    config = tmp_path / "run.cfg"
+    if text is not None:
+        config.write_text(text)
+    code, out, err = run_cli(_SOLVE + ["--config", str(config)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ") and message in err
+
+
+def test_string_parameter_reaches_the_model_and_the_header(capsys):
+    argv = ["audit", "--problem", "sir", "--N", "4", "--M", "4", "--t-final", "2"]
+    code, rising, _ = run_cli(argv + ["--param", "history=increasing"], capsys)
+    assert code == 0
+    header, _, rows = parse_csv(rising)
+    assert header["param.history"] == "increasing"
+    assert rows != parse_csv(run_cli(argv, capsys)[1])[2]
+
+
+def test_multiplier_study_of_a_quasilinear_problem_is_a_usage_error(capsys):
+    code, _, err = run_cli(["convergence", "--problem", "sir", "--N", "4",
+                            "--periods", "1", "--M-list", "2,4"], capsys)
+    assert code == 2 and "field 'periods': multiplier study needs a linear problem" in err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("nodes = 6\n")
@@ -650,10 +686,10 @@ def test_cli_version_and_help_exit():
 
 
 # Each numeric flag and parameter of every subcommand over bad and edge
-# values.  Huge values are left out: a horizon of 1e300, or --param
-# tau=1e-9 over a horizon of 1, would allocate a plan of one tuple per
-# delay interval before any check.
-_BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2.5", "1e-9")
+# values.  A horizon of 1e300, or --param tau=1e-9 over a horizon of 1,
+# spans more delay intervals than a run may take and fails before its plan
+# is built.
+_BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2.5", "1e-9", "1e300")
 _BAD_FLAGS = ("--N", "--M", "--order", "--t-final", "--periods", "--stability-tol",
               "--slope-floor", "--M-list", "--N-list", "--param")
 # (command, flag) -> the values that are legitimate there and exit 0; every
@@ -664,10 +700,10 @@ _LEGITIMATE = {
     ("convergence", "--t-final"): {"0.5", "2.5"},
     # a solve may end inside a period; the sir model of audit has no period
     ("solve", "--periods"): {"0.5", "2.5"},
-    ("convergence", "--slope-floor"): {"0", "-1", "0.5", "2.5", "1e-9"},
+    ("convergence", "--slope-floor"): {"0", "-1", "0.5", "2.5", "1e-9", "1e300"},
     ("solve", "--param"): {"0.5", "2.5"},
     ("audit", "--param"): {"0.5", "2.5"},
-    **{(command, "--stability-tol"): {"0", "0.5", "2.5", "1e-9"}
+    **{(command, "--stability-tol"): {"0", "0.5", "2.5", "1e-9", "1e300"}
        for command in ("solve", "multipliers", "convergence", "audit")},
 }
 
@@ -679,9 +715,7 @@ def _bad_input_argv(command, flag, value, out):
         argv += ["--M-list", "2,4"]
     if command != "multipliers" and flag not in ("--t-final", "--periods"):
         argv += ["--t-final", "1"]
-    if flag == "--param":
-        return argv + ["--param", f"tau={value}"] if value != "1e-9" else None
-    return argv + [flag, value]
+    return argv + (["--param", f"tau={value}"] if flag == "--param" else [flag, value])
 
 
 def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
@@ -691,8 +725,6 @@ def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
             for value in _BAD_VALUES:
                 out = tmp_path / f"{command}{flag}={value}.csv"
                 argv = _bad_input_argv(command, flag, value, out)
-                if argv is None:
-                    continue
                 try:
                     code = main(argv)
                 except SystemExit as exc:   # argparse rejects the value
@@ -728,3 +760,4 @@ def test_horizon_inside_the_breakpoint_snap_is_a_usage_error(tmp_path, capsys, a
     code, stdout, err = run_cli(argv + ["--N", "4", "--out", str(out)], capsys)
     assert code == 2 and stdout == "" and not out.exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and "snap" in err
+    assert "t_final = " in err

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from ddemagnus import (ChebyshevGrid, LinearDDEProblem, NumericalFailure,
-                       OutOfRangeError, QuasilinearDDEProblem, assemble_linear,
-                       assemble_quasilinear, builtin_problem, discretize,
-                       eigenvalues, expm, monodromy, solve, stability_verdict)
+from ddemagnus import (ChebyshevGrid, DiscretizedSystem, LinearDDEProblem,
+                       NumericalFailure, OutOfRangeError, QuasilinearDDEProblem,
+                       builtin_problem, discretize, eigenvalues, expm, monodromy,
+                       solve, stability_verdict)
 from ddemagnus.dde import MonodromyResult, Trajectory
 
 SQRT2 = np.sqrt(2.0)
@@ -35,7 +35,7 @@ def paper_a4(a, b, tau):
 @pytest.mark.parametrize("a,b,tau", [(0.37, -1.2, 0.9), (2.0, 3.0, np.pi / 2)])
 def test_assemble_linear_reproduces_reference_5x5(a, b, tau):
     grid = ChebyshevGrid.build(4, tau)
-    got = assemble_linear(scalar_linear(a, b, tau), grid, 0.0)
+    got = DiscretizedSystem(scalar_linear(a, b, tau), grid).matrix_at(0.0)
     expected = paper_a4(a, b, tau)
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
     assert np.all(got[0, 1:4] == 0.0)
@@ -43,7 +43,7 @@ def test_assemble_linear_reproduces_reference_5x5(a, b, tau):
 
 def test_assemble_linear_zero_delay_coupling():
     grid = ChebyshevGrid.build(6, 1.0)
-    got = assemble_linear(scalar_linear(0.4, 0.0, 1.0), grid, 0.0)
+    got = DiscretizedSystem(scalar_linear(0.4, 0.0, 1.0), grid).matrix_at(0.0)
     assert np.all(got[0, 1:] == 0.0)
 
 
@@ -51,7 +51,7 @@ def test_assemble_linear_differentiates_smooth_history():
     # lower row blocks apply d/dtheta: samples of theta^2 map to 2*theta
     tau = 1.4
     grid = ChebyshevGrid.build(8, tau)
-    system_matrix = assemble_linear(scalar_linear(0.0, 0.0, tau), grid, 0.0)
+    system_matrix = DiscretizedSystem(scalar_linear(0.0, 0.0, tau), grid).matrix_at(0.0)
     samples = grid.nodes_shifted ** 2
     got = system_matrix @ samples
     np.testing.assert_allclose(got[1:], 2.0 * grid.nodes_shifted[1:], atol=1e-10)
@@ -59,8 +59,8 @@ def test_assemble_linear_differentiates_smooth_history():
 
 def test_assemble_linear_grid_mismatch():
     grid = ChebyshevGrid.build(4, 0.5)
-    with pytest.raises(ValueError):
-        assemble_linear(scalar_linear(1.0, 1.0, 1.0), grid, 0.0)
+    with pytest.raises(ValueError, match="grid delay does not match"):
+        DiscretizedSystem(scalar_linear(1.0, 1.0, 1.0), grid)
 
 
 def test_assemble_quasilinear_uses_last_block_only():
@@ -68,7 +68,8 @@ def test_assemble_quasilinear_uses_last_block_only():
     grid = ChebyshevGrid.build(4, 1.0)
     state = np.zeros(15)
     state[-3:] = [0.7, 0.2, 0.1]
-    got = assemble_quasilinear(bench.problem, grid, state)
+    system = DiscretizedSystem(bench.problem, grid)
+    got = system.matrix_of_state(state)
     q = 0.2  # beta * I / (1 + alpha I) with alpha = 0, beta = 1
     np.testing.assert_allclose(got[:3, :3],
                                [[-q, 0, 0], [q, -1.0, 0], [0, 1.0, 0]],
@@ -77,15 +78,16 @@ def test_assemble_quasilinear_uses_last_block_only():
     # dependence comes only through the delayed block
     other = state.copy()
     other[:-3] = 123.0
-    np.testing.assert_array_equal(got, assemble_quasilinear(bench.problem, grid, other))
+    np.testing.assert_array_equal(got, system.matrix_of_state(other))
 
 
 def test_assemble_quasilinear_constant_coefficient():
     prob = QuasilinearDDEProblem(d=1, tau=1.0, A=lambda x: np.array([[2.0]]),
                                  phi=lambda t: np.array([1.0]))
     grid = ChebyshevGrid.build(3, 1.0)
-    m1 = assemble_quasilinear(prob, grid, np.ones(4))
-    m2 = assemble_quasilinear(prob, grid, np.full(4, -9.0))
+    system = DiscretizedSystem(prob, grid)
+    m1 = system.matrix_of_state(np.ones(4))
+    m2 = system.matrix_of_state(np.full(4, -9.0))
     np.testing.assert_array_equal(m1, m2)
 
 
@@ -210,6 +212,41 @@ def test_solve_argument_validation():
         solve(bench.problem, 8, 4, 2, 1e-7 * bench.problem.tau)  # below snap
     with pytest.raises(ValueError):
         solve(bench.problem, 8, 4, 2, 2.0, t_start=bench.problem.tau)
+
+
+def _sir_matrix_of_state(state):
+    system = DiscretizedSystem(builtin_problem("sir").problem, ChebyshevGrid.build(4, 1.0))
+    return system.matrix_of_state(state)
+
+
+def _resume(t_start, shape=(9,)):
+    return solve(scalar_linear(0.5, -1.0, 1.0), 8, 4, 2, 3.0, t_start=t_start,
+                 initial_state=np.ones(shape))
+
+
+# (input check, a call it rejects, the start of its message)
+_REJECTED_INPUTS = [
+    ("linear d", lambda: LinearDDEProblem(d=0, tau=1.0, A=np.eye, B=np.eye, phi=np.ones),
+     "state dimension d must be >= 1"),
+    ("quasilinear d", lambda: QuasilinearDDEProblem(d=0, tau=1.0, A=np.eye, phi=np.ones),
+     "state dimension d must be >= 1"),
+    ("initial function", lambda: discretize(
+        scalar_linear(1.0, -1.0, 1.0, phi=lambda t: np.array([np.nan if t < -0.5 else 1.0])), 4),
+     "initial function returned a non-finite value"),
+    ("t_start between breaking points", lambda: _resume(0.5), "t_start must be a nonnegative"),
+    ("negative t_start", lambda: _resume(-1.0), "t_start must be a nonnegative"),
+    ("initial_state shape", lambda: _resume(1.0, (8,)), "initial_state must have shape"),
+    ("initial_state rank", lambda: _resume(1.0, (9, 1)), "initial_state must have shape"),
+    ("short state", lambda: _sir_matrix_of_state(np.ones(14)), "state has shape"),
+    ("matrix state", lambda: _sir_matrix_of_state(np.ones((15, 2))), "state has shape"),
+]
+
+
+@pytest.mark.parametrize("build, message", [case[1:] for case in _REJECTED_INPUTS],
+                         ids=[case[0] for case in _REJECTED_INPUTS])
+def test_input_checks_reject_bad_problems_and_states(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def nan_after(t_bad, period=None):
@@ -438,8 +475,7 @@ def test_monodromy_requires_periodic_linear_problem():
 
 def _result_with(multipliers):
     values = np.asarray(multipliers, dtype=complex)
-    return MonodromyResult(monodromy=np.eye(len(values)), multipliers=values,
-                           N=1, M=1, order=2)
+    return MonodromyResult(monodromy=np.eye(len(values)), multipliers=values)
 
 
 def test_stability_verdict_cases():
@@ -454,9 +490,8 @@ def test_stability_verdict_cases():
 
 def window(values, grid, window_end):
     """A one-window Trajectory holding ``values`` on [window_end - tau, window_end]."""
-    return Trajectory(grid=grid, d=len(values) // (grid.N + 1), order=2, M=1,
-                      problem="", times=np.array([window_end]), states=values[None],
-                      intervals=np.zeros(1, int))
+    return Trajectory(grid=grid, d=len(values) // (grid.N + 1), times=np.array([window_end]),
+                      states=values[None], intervals=np.zeros(1, int))
 
 
 def test_mean_error_basics():
@@ -512,7 +547,7 @@ def test_rightmost_eigenvalue_converges_to_characteristic_root():
     errors = []
     for N in (5, 10, 15, 20):
         grid = ChebyshevGrid.build(N, 1.0)
-        vals = eigenvalues(assemble_linear(prob, grid, 0.0))
+        vals = eigenvalues(DiscretizedSystem(prob, grid).matrix_at(0.0))
         rightmost = vals[np.argmax(vals.real)]
         errors.append(abs(rightmost - lam))
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))

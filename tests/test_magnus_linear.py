@@ -135,6 +135,11 @@ def test_step_input_validation():
         magnus_step(lambda t: np.zeros(3), 0.0, 0.1, np.zeros(3), 2)
 
 
+def test_matrix_step_rejects_a_vector_state():
+    with pytest.raises(ValueError, match="Y must be a matrix"):
+        magnus_step_matrix(lambda t: np.eye(2), 0.0, 0.1, np.ones(2), 2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("order", [2, 4, 6])

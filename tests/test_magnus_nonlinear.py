@@ -49,6 +49,12 @@ def test_step_input_validation():
         nonlinear_magnus_step(A, 0.1, np.zeros(2), 4)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2,), (1, 2, 2)])
+def test_step_rejects_a_state_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match="evaluator must return a square matrix"):
+        nonlinear_magnus_step(lambda y: np.ones(shape), 0.1, np.ones(2), 2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("order", [2, 3])
@@ -286,3 +292,9 @@ def test_structured_action_rejects_broken_invariant():
             action(bad, y)
         with pytest.raises(ValueError):
             BlockTriangularExpmv(lower, d)(bad, y)
+
+
+@pytest.mark.parametrize("shape, d", [((4, 6), 3), ((4, 4), 1), ((7,), 3), ((4, 4), 0)])
+def test_structured_action_rejects_lower_rows_of_the_wrong_shape(shape, d):
+    with pytest.raises(ValueError, match="lower rows must have shape"):
+        BlockTriangularExpmv(np.zeros(shape), d)
