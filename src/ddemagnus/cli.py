@@ -397,7 +397,11 @@ def cmd_convergence(cfg: RunConfig, bench) -> int:
             raise ConfigError("field 'problem': no reference multiplier available")
         metric, problem = "multiplier", _stretched(bench.problem, cfg.periods, whole=True)
         # over p periods the multipliers are those of one period to the power p
-        reference = bench.reference_multiplier ** round(cfg.periods)
+        try:
+            reference = bench.reference_multiplier ** round(cfg.periods)
+        except OverflowError:
+            raise ConfigError("field 'periods': the reference multiplier to the power "
+                              "periods overflows") from None
 
         def error(N, M):
             # track the dominant multiplier against the reference; at coarse M

@@ -19,7 +19,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .linalg import NumericalFailure, eigenvalues
-from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix
+# magnus_step_matrix is magnus_step and is not called here, but stays bound:
+# bench/tracer.py wraps dde.magnus_step_matrix and reports a missing name
+from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix  # noqa: F401
 from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
@@ -167,30 +169,31 @@ class DiscretizedSystem:
         out[:, :d] = _coefficient(self.problem.A, state[n - d:], d, "A(x)")
         return np.concatenate((out, self._lower))
 
-    def stepper(self, order: int, state: np.ndarray):
-        """Step function ``(t, h, state) -> state`` of the given order for ``state``.
+    def stepper(self, order: int):
+        """Step function ``(t, h, state) -> state`` of the given order.
 
+        Raises ValueError for an order outside :func:`admissible_orders`.
         Linear problems step ``top_rows`` over the constant rows (a
-        :class:`TopRows`) with :func:`magnus_step`, or with
-        :func:`magnus_step_matrix` for a 2-D ``state`` (fundamental
-        matrices); quasilinear problems step A(x) as the
+        :class:`TopRows`) with :func:`magnus_step`, a vector or a matrix
+        state alike; quasilinear problems step A(x) as the
         :class:`DelayExponent` (A(x), I_d, 1) and apply every exponential
         through one :class:`BlockTriangularExpmv` of the constant rows.
         """
-        if not isinstance(self.problem, LinearDDEProblem):
+        kind, orders = admissible_orders(self.problem)
+        if order not in orders:
+            raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
+        if kind == "quasilinear":
             d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
             A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
             return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
         A = TopRows(self.top_rows, self._lower)
-        step = magnus_step_matrix if np.ndim(state) == 2 else magnus_step
-        return lambda t, h, y: step(A, t, h, y, order)
+        return lambda t, h, y: magnus_step(A, t, h, y, order)
 
     def check_period(self, t: float, phase: float, at_phase: tuple) -> None:
         """Raise ValueError unless A and B at t agree with ``at_phase``, their
         :meth:`coefficients` at ``phase``, the time a whole number of periods
         earlier (linear problems)."""
-        for name, then in zip(("A", "B"), at_phase):
-            now = _coefficient(getattr(self.problem, name), t, self.d, name)
+        for name, now, then in zip(("A", "B"), self.coefficients(t), at_phase):
             gap = float(np.abs(now - then).max())
             if not gap <= 1e-9 * (1.0 + max(np.abs(now).max(), np.abs(then).max())):
                 raise ValueError(f"{name} at t = {t!r} differs by {gap:.3g} from {name} at "
@@ -324,7 +327,7 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     non-finite entries), a failed spot check and a non-finite state or
     C_k all raise NumericalFailure with the interval and step.
     """
-    step = system.stepper(order, state)
+    step = system.stepper(order)
     cumulative = {}
     out = np.empty((1 + sum(n if every_step else 1 for *_, n, _ in plan),) + state.shape)
     out[0] = state
@@ -389,9 +392,6 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     window at a multiple of tau; by default the run starts at 0 from the
     sampled initial function.
     """
-    kind, orders = admissible_orders(problem)
-    if order not in orders:
-        raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
     if not math.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final!r}")
     if not math.isfinite(t_start):
@@ -412,7 +412,7 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     if t_final <= g0 * tau:
         raise ValueError("t_final must lie beyond t_start")
 
-    plan = _interval_plan(g0, t_final, tau, M, problem.period if kind == "linear" else None)
+    plan = _interval_plan(g0, t_final, tau, M, getattr(problem, "period", None))
     ends = [t0 + np.arange(1, n_steps + 1) * (length / n_steps) if store_steps else [t_end]
             for _, t0, length, t_end, n_steps, _ in plan]
     return Trajectory(grid=system.grid, d=problem.d, times=np.concatenate([[g0 * tau], *ends]),
@@ -442,20 +442,18 @@ def monodromy(problem: LinearDDEProblem, N: int, M: int, order: int) -> Monodrom
     """Propagate Y' = A_N(t) Y, Y(0) = I over one period and take eigenvalues.
 
     All d(N+1) columns are advanced together through the same interval
-    plan and propagator as :func:`solve`: interval boundaries align with
-    multiples of tau (and with the period itself when it is not a
-    multiple).
+    plan and propagator as :func:`solve`, one interval at a time, so only
+    the current matrix is held: interval boundaries align with multiples
+    of tau (and with the period itself when it is not a multiple).
     """
     if not isinstance(problem, LinearDDEProblem):
         raise ValueError("monodromy analysis needs a linear problem")
     if problem.period is None:
         raise ValueError("problem has no period set")
-    _, orders = admissible_orders(problem)
-    if order not in orders:
-        raise ValueError(f"order {order} invalid; admissible: {orders}")
     system = discretize(problem, N)
-    plan = _interval_plan(0, problem.period, problem.tau, M)
-    Y = _propagate(system, order, np.eye(system.big_dim), plan)[-1]
+    Y = np.eye(system.big_dim)
+    for interval in _interval_plan(0, problem.period, problem.tau, M):
+        Y = _propagate(system, order, Y, [interval])[-1]
     return MonodromyResult(monodromy=Y, multipliers=eigenvalues(Y))
 
 

@@ -136,7 +136,8 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
     t, h : float
         Step start and step size, 0 < h < inf.
     y : array, shape (m,) or (m, k)
-        State at time t.
+        State at time t; a matrix steps k columns at once, e.g. a
+        fundamental matrix for Y' = A(t) Y.
     order : {2, 4, 6}
         Convergence order of the scheme; the local error is O(h^(order+1)).
     """
@@ -145,13 +146,5 @@ def magnus_step(A, t: float, h: float, y, order: int) -> np.ndarray:
     return expm(_omega(A, t, h, order)) @ np.asarray(y, dtype=float)
 
 
-def magnus_step_matrix(A, t: float, h: float, Y, order: int) -> np.ndarray:
-    """Matrix-valued variant of :func:`magnus_step` for Y' = A(t) Y.
-
-    Used to propagate fundamental matrices (e.g. all columns of a
-    monodromy computation in a single pass, or the products of a period's
-    step exponentials).
-    """
-    if np.ndim(Y) != 2:
-        raise ValueError("Y must be a matrix")
-    return magnus_step(A, t, h, Y, order)
+# the matrix-valued step Y' = A(t) Y is the same function
+magnus_step_matrix = magnus_step

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ddemagnus
-from ddemagnus import ChebyshevGrid, cli
+from ddemagnus import ChebyshevGrid, NumericalFailure, cli
 from ddemagnus._g17 import WORDS, Formatter
 from ddemagnus.cli import _format_rows, _solve_lines, build_parser, main
 from ddemagnus.dde import Trajectory
@@ -110,6 +110,17 @@ def test_convergence_rejects_bad_periods(capsys, value):
     code, _, err = run_cli(["convergence", "--problem", "example1", "--N", "4",
                             "--M-list", "2,4", "--periods", value], capsys)
     assert code == 2 and "field 'periods'" in err
+
+
+@pytest.mark.parametrize("value", ["1e6", "1e300"])
+def test_convergence_rejects_periods_whose_reference_power_overflows(capsys, monkeypatch,
+                                                                     value):
+    # mathieu's reference multiplier has modulus 1.44; example1's is 1
+    monkeypatch.setattr(cli, "monodromy", lambda *args: pytest.fail("monodromy ran"))
+    code, out, err = run_cli(["convergence", "--problem", "mathieu", "--N", "4",
+                              "--M-list", "2,4", "--periods", value], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: field 'periods'")
 
 
 @pytest.mark.parametrize("flag", ["--M-list", "--N-list"])
@@ -648,6 +659,20 @@ def test_numerical_failure_exit_code(capsys):
     assert code == 1
     assert "numerical failure" in err
     assert "interval 0" in err
+
+
+def test_failed_eigenvalue_iteration_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(NumericalFailure, match="eigenvalue iteration failed to converge"):
+        ddemagnus.eigenvalues(np.eye(2))
+    out = tmp_path / "never.csv"
+    code, _, err = run_cli(["multipliers", "--problem", "mathieu", "--N", "4", "--M", "4",
+                            "--out", str(out)], capsys)
+    assert code == 1 and not out.exists()
+    assert err.splitlines() == ["numerical failure: eigenvalue iteration failed to "
+                                "converge: Eigenvalues did not converge"]
 
 
 def test_overflowing_exponential_prints_only_the_failure():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,22 @@ def test_monodromy_multiplier_count_and_order():
     assert result.multipliers.shape == (2 * 6,)
     mods = np.abs(result.multipliers)
     assert np.all(np.diff(mods) <= 1e-12)  # sorted by modulus, descending
+
+
+def test_monodromy_memory_does_not_grow_with_the_interval_count():
+    # 500 periods of example1 are 2,000 delay intervals; a stack of the
+    # fundamental matrix at every interval end would take 7 MB
+    bench = builtin_problem("example1")
+    problem = dataclasses.replace(bench.problem, period=500 * bench.problem.period)
+    intervals, n = 2000, 21
+    tracemalloc.start()
+    try:
+        result = monodromy(problem, 20, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.monodromy.shape == (n, n)
+    assert peak < intervals * n * n * 8 / 4
 
 
 def test_monodromy_requires_periodic_linear_problem():
