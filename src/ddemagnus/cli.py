@@ -7,10 +7,12 @@ multipliers  monodromy matrix eigenvalues plus a stability verdict
 convergence  error-versus-M (or N) table with fitted order
 audit        per-interval conservation/positivity report for SIR-like models
 
-All output is CSV with a ``# key = value`` header block echoing the
-fully resolved configuration, floats printed as %.17g, so repeated runs
+Each subcommand takes only the options it reads.  All output is CSV with
+a ``# key = value`` header block echoing the fully resolved value of each
+of them but the output path, floats printed as %.17g, so repeated runs
 with the same configuration produce byte-identical files.  Exit codes:
-0 success, 1 numerical failure, 2 usage or configuration error.
+0 success, 1 numerical failure, 2 usage or configuration error, 141 the
+reader of stdout went away (as after ``| head``).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,28 +35,17 @@ from .models import builtin_problem
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141   # what a shell reports for a process that SIGPIPE ended
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    problem: str = "example1"
-    params: dict = field(default_factory=dict)
-    N: int = 20
-    M: int = 32
-    order: Optional[int] = None         # filled per problem kind
-    t_final: Optional[float] = None
-    periods: Optional[float] = None
-    out: Optional[str] = None
-    store_steps: bool = False
-    stability_tol: float = 1e-9
-    m_list: Optional[list] = None
-    n_list: Optional[list] = None
-    slope_floor: float = 0.0
+# The value of a configuration key that neither the command line nor a
+# config file sets; a key not listed here defaults to None.
+_DEFAULTS = {"problem": "example1", "N": 20, "M": 32, "store_steps": False,
+             "stability_tol": 1e-9, "slope_floor": 0.0}
 
 
 def _fmt(value) -> str:
@@ -134,21 +125,25 @@ def _parse_int_list(text: str):
     if not items or any(v < 1 for v in items):
         raise argparse.ArgumentTypeError(
             f"integer list must contain positive values: {text!r}")
+    if len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError(f"integer list must not repeat a value: {text!r}")
     return items
 
 
-def resolve_config(args: argparse.Namespace, options: dict) -> RunConfig:
+def resolve_config(args: argparse.Namespace, options: dict) -> argparse.Namespace:
     """Merge defaults, config file and command line (later wins).
 
-    ``options`` maps each configuration key to its parser action.  A
-    config-file key is the key itself or one of the action's flag names
-    without the leading dashes, each with dashes or underscores (so
-    ``m_list``, ``m-list``, ``M-list`` and ``M_list`` all name --M-list;
-    case matters, since N and M are different keys).  Its value is
-    converted by the action's ``type`` (or as a true/false word for a
-    flag that takes no value).
+    ``options`` maps each configuration key of the command to its parser
+    action, in the order of the header lines; the result holds ``command``,
+    those keys in that order, then ``params``.  A config-file key is the
+    key itself or one of the action's flag names without the leading
+    dashes, each with dashes or underscores (so ``m_list``, ``m-list``,
+    ``M-list`` and ``M_list`` all name --M-list; case matters, since N and
+    M are different keys).  Its value is converted by the action's
+    ``type`` (or as a true/false word for a flag that takes no value).
     """
-    cfg = RunConfig(command=args.command)
+    cfg = argparse.Namespace(command=args.command,
+                             **{key: _DEFAULTS.get(key) for key in options})
     params = {}
     if args.config:
         file_values, params = read_config_file(args.config)
@@ -168,7 +163,7 @@ def resolve_config(args: argparse.Namespace, options: dict) -> RunConfig:
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"field {key!r}: cannot parse {text!r}") from exc
     for key in options:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
     for item in args.param or []:
@@ -178,7 +173,7 @@ def resolve_config(args: argparse.Namespace, options: dict) -> RunConfig:
     return cfg
 
 
-def _build_benchmark(cfg: RunConfig):
+def _build_benchmark(cfg: argparse.Namespace):
     try:
         bench = builtin_problem(cfg.problem, **cfg.params)
     except KeyError as exc:
@@ -188,7 +183,7 @@ def _build_benchmark(cfg: RunConfig):
     return bench
 
 
-def _fill_order(cfg: RunConfig, problem) -> None:
+def _fill_order(cfg: argparse.Namespace, problem) -> None:
     kind, admissible = admissible_orders(problem)
     if cfg.order is None:
         cfg.order = max(admissible)
@@ -198,13 +193,11 @@ def _fill_order(cfg: RunConfig, problem) -> None:
             f"admissible orders: {', '.join(str(o) for o in admissible)}")
 
 
-def _validate_common(cfg: RunConfig) -> None:
+def _validate_common(cfg: argparse.Namespace) -> None:
     if cfg.N < 1:
         raise ConfigError("field 'N': must be >= 1")
     if cfg.M < 1:
         raise ConfigError("field 'M': must be >= 1")
-    if not 0 <= cfg.stability_tol < math.inf:
-        raise ConfigError("field 'stability_tol': must be >= 0 and finite")
 
 
 def _stretched(problem, periods: float, whole: bool = False):
@@ -223,7 +216,7 @@ def _stretched(problem, periods: float, whole: bool = False):
     return replace(problem, period=periods * period)
 
 
-def _resolve_horizon(cfg: RunConfig, problem) -> float:
+def _resolve_horizon(cfg: argparse.Namespace, problem) -> float:
     """Enforce 'exactly one of t_final / periods' and return the horizon."""
     if cfg.t_final is not None and cfg.periods is not None:
         raise ConfigError("fields 't_final'/'periods': give exactly one of them")
@@ -236,15 +229,15 @@ def _resolve_horizon(cfg: RunConfig, problem) -> float:
     raise ConfigError("fields 't_final'/'periods': one of them is required")
 
 
-def _header_pairs(cfg: RunConfig, extra=()):
+def _header_pairs(cfg: argparse.Namespace, extra=()):
+    """The problem and its parameters, then every other key of ``cfg`` that
+    is set but the output path, then ``extra``."""
     pairs = [("generator", f"ddemagnus {__version__}"), ("command", cfg.command),
              ("problem", cfg.problem)]
     for key in sorted(cfg.params):
         pairs.append((f"param.{key}", _fmt(cfg.params[key])))
-    for key in ("N", "M", "order", "t_final", "periods", "store_steps",
-                "stability_tol", "m_list", "n_list"):
-        value = getattr(cfg, key)
-        if value is not None:
+    for key, value in vars(cfg).items():
+        if key not in ("command", "problem", "out", "params") and value is not None:
             pairs.append((key, _fmt(value)))
     pairs.extend(extra)
     return pairs
@@ -254,7 +247,7 @@ def _format_rows(rows) -> list:
     return [",".join(_fmt(cell) for cell in row) for row in rows]
 
 
-def _write_csv(cfg: RunConfig, header_pairs, columns, body) -> None:
+def _write_csv(cfg: argparse.Namespace, header_pairs, columns, body) -> None:
     """Write the header block and the column line, then each already formatted
     ``body`` text (one or more lines) as it comes, to ``cfg.out`` or stdout."""
     head = "".join(f"# {key} = {value}\n" for key, value in header_pairs)
@@ -338,7 +331,7 @@ def _solve_lines(trajectory):
         yield str(memoryview(lines)[1:], "ascii")   # without the first "\n"
 
 
-def cmd_solve(cfg: RunConfig, bench) -> int:
+def cmd_solve(cfg: argparse.Namespace, bench) -> int:
     horizon = _resolve_horizon(cfg, bench.problem)
     trajectory = solve(bench.problem, cfg.N, cfg.M, cfg.order, horizon,
                        store_steps=cfg.store_steps)
@@ -350,11 +343,11 @@ def cmd_solve(cfg: RunConfig, bench) -> int:
     return EXIT_OK
 
 
-def cmd_multipliers(cfg: RunConfig, bench) -> int:
+def cmd_multipliers(cfg: argparse.Namespace, bench) -> int:
     if not isinstance(bench.problem, LinearDDEProblem):
         raise ConfigError("field 'problem': multipliers need a linear periodic problem")
-    if cfg.t_final is not None:
-        raise ConfigError("field 't_final': multipliers use --periods, not --t-final")
+    if not 0 <= cfg.stability_tol < math.inf:
+        raise ConfigError("field 'stability_tol': must be >= 0 and finite")
     problem = _stretched(bench.problem, 1.0 if cfg.periods is None else cfg.periods, whole=True)
     result = monodromy(problem, cfg.N, cfg.M, cfg.order)
     verdict = stability_verdict(result, cfg.stability_tol)
@@ -387,7 +380,7 @@ def fitted_order(values, errors, floor: float = 0.0):
     return -float(slope)
 
 
-def cmd_convergence(cfg: RunConfig, bench) -> int:
+def cmd_convergence(cfg: argparse.Namespace, bench) -> int:
     if (cfg.m_list is None) == (cfg.n_list is None):
         raise ConfigError("fields 'M-list'/'N-list': give exactly one of them")
     if cfg.periods is not None:
@@ -438,14 +431,13 @@ def cmd_convergence(cfg: RunConfig, bench) -> int:
             local = math.log(errors[i - 1] / err) / math.log(point / points[i - 1])
         rows.append((point, err, local))
     overall = fitted_order(points, errors, cfg.slope_floor)
-    header = _header_pairs(cfg, extra=[("slope_floor", _fmt(cfg.slope_floor)),
-                                       ("metric", metric),
+    header = _header_pairs(cfg, extra=[("metric", metric),
                                        ("fitted_order", _fmt(overall))])
     _write_csv(cfg, header, [label, "error", "local_order"], _format_rows(rows))
     return EXIT_OK
 
 
-def cmd_audit(cfg: RunConfig, bench) -> int:
+def cmd_audit(cfg: argparse.Namespace, bench) -> int:
     if bench.conserved_total is None:
         raise ConfigError("field 'problem': conservation audit needs a "
                           "population-conserving model (e.g. sir)")
@@ -467,72 +459,70 @@ def cmd_audit(cfg: RunConfig, bench) -> int:
     return EXIT_OK
 
 
+# Each option once: its flag and its add_argument keywords.
+_OPTIONS = {
+    "--problem": dict(help="builtin problem name (example1, mathieu, nonlinear-scalar, sir)"),
+    "--N": dict(type=int, help="collocation intervals (N+1 nodes)"),
+    "--M": dict(type=int, help="Magnus steps per delay interval"),
+    "--order": dict(type=int, help="integrator order: 2/4/6 linear, 2/3 quasilinear"),
+    "--t-final": dict(type=float, help="integration horizon (exclusive with --periods)"),
+    "--periods": dict(type=float, help="horizon as a multiple of the problem period"),
+    "--param": dict(action="append", metavar="KEY=VALUE",
+                    help="problem parameter override (repeatable)"),
+    "--out": dict(help="output CSV path (default: stdout)"),
+    "--store-steps": dict(action="store_true", default=None,
+                          help="emit every Magnus step, not just interval endpoints"),
+    "--config": dict(help="key = value file mirroring these flags"),
+    "--stability-tol": dict(type=float, help="half-width of the marginal band around |mu| = 1"),
+    "--M-list": dict(dest="m_list", type=_parse_int_list,
+                     help="comma-separated step counts, e.g. 4,8,16,32"),
+    "--N-list": dict(dest="n_list", type=_parse_int_list, help="comma-separated node counts"),
+    "--slope-floor": dict(type=float, help="ignore errors at/below this value when fitting"),
+}
+_SHARED = ("--problem", "--N", "--M", "--order", "--param", "--out", "--config")
+
+# Each command: its function, its help line and the options it takes
+# besides the shared ones; the header lines follow the shared options,
+# then these.
 _COMMANDS = {
-    "solve": cmd_solve,
-    "multipliers": cmd_multipliers,
-    "convergence": cmd_convergence,
-    "audit": cmd_audit,
+    "solve": (cmd_solve, "integrate and dump node values",
+              ("--t-final", "--periods", "--store-steps")),
+    "multipliers": (cmd_multipliers, "characteristic multipliers and stability verdict",
+                    ("--periods", "--stability-tol")),
+    "convergence": (cmd_convergence, "error table against M or N",
+                    ("--t-final", "--periods", "--M-list", "--N-list", "--slope-floor")),
+    "audit": (cmd_audit, "per-interval conservation and positivity report",
+              ("--t-final", "--periods")),
 }
 
 
 def build_parser():
-    """The argument parser, and the parser action of each configuration key."""
-    common = argparse.ArgumentParser(add_help=False)
-    actions = [
-        common.add_argument("--problem", help="builtin problem name "
-                            "(example1, mathieu, nonlinear-scalar, sir)"),
-        common.add_argument("--N", type=int, help="collocation intervals (N+1 nodes)"),
-        common.add_argument("--M", type=int, help="Magnus steps per delay interval"),
-        common.add_argument("--order", type=int,
-                            help="integrator order: 2/4/6 linear, 2/3 quasilinear"),
-        common.add_argument("--t-final", dest="t_final", type=float,
-                            help="integration horizon (exclusive with --periods)"),
-        common.add_argument("--periods", type=float,
-                            help="horizon as a multiple of the problem period"),
-        common.add_argument("--param", action="append", metavar="KEY=VALUE",
-                            help="problem parameter override (repeatable)"),
-        common.add_argument("--out", help="output CSV path (default: stdout)"),
-        common.add_argument("--store-steps", dest="store_steps", action="store_true",
-                            default=None, help="emit every Magnus step, not just "
-                            "interval endpoints"),
-        common.add_argument("--config", help="key = value file mirroring these flags"),
-        common.add_argument("--stability-tol", dest="stability_tol", type=float,
-                            help="half-width of the marginal band around |mu| = 1"),
-    ]
-
+    """The argument parser, and per command the parser action of each
+    configuration key it takes, in the order of the header lines."""
     parser = argparse.ArgumentParser(
         prog="ddemagnus",
         description="Spectral-Magnus delay differential equation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common],
-                   help="integrate and dump node values")
-    sub.add_parser("multipliers", parents=[common],
-                   help="characteristic multipliers and stability verdict")
-    conv = sub.add_parser("convergence", parents=[common],
-                          help="error table against M or N")
-    actions += [
-        conv.add_argument("--M-list", dest="m_list", type=_parse_int_list,
-                          help="comma-separated step counts, e.g. 4,8,16,32"),
-        conv.add_argument("--N-list", dest="n_list", type=_parse_int_list,
-                          help="comma-separated node counts"),
-        conv.add_argument("--slope-floor", dest="slope_floor", type=float,
-                          help="ignore errors at/below this value when fitting"),
-    ]
-    sub.add_parser("audit", parents=[common],
-                   help="per-interval conservation and positivity report")
-    return parser, {action.dest: action for action in actions
-                    if action.dest not in ("param", "config")}
+    common = argparse.ArgumentParser(add_help=False)
+    shared = [common.add_argument(flag, **_OPTIONS[flag]) for flag in _SHARED]
+    options = {}
+    for command, (_, help_line, own) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, parents=[common], help=help_line)
+        actions = shared + [command_parser.add_argument(flag, **_OPTIONS[flag]) for flag in own]
+        options[command] = {action.dest: action for action in actions
+                            if action.dest not in ("param", "config")}
+    return parser, options
 
 
 def main(argv=None) -> int:
     parser, options = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args, options)
+        cfg = resolve_config(args, options[args.command])
         bench = _build_benchmark(cfg)
         _fill_order(cfg, bench.problem)
         _validate_common(cfg)
-        return _COMMANDS[cfg.command](cfg, bench)
+        return _COMMANDS[cfg.command][0](cfg, bench)
     except (ConfigError, ValueError) as exc:
         # a ValueError here is an input check of solve or monodromy, such as
         # a horizon inside the breaking-point snap; stepping raises NumericalFailure
@@ -541,6 +531,11 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the output is cut short; stdout goes to devnull so that the flush
+        # at exit does not fail on the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

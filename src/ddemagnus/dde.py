@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -31,9 +31,10 @@ from .spectral import ChebyshevGrid, interpolate_window
 # delay intervals.
 BREAKPOINT_SNAP = 1e-4
 
-# Most delay intervals one run may span: the plan and the stored windows
-# grow with the count, so a horizon of 1e300 (or tau = 1e-9 over 1) fails
-# before they are built.  2**20 is 1000 times the longest run in the tests.
+# Most delay intervals one run may span: a run's time and the windows a
+# solve stores grow with the count, so a horizon of 1e300 (or tau = 1e-9
+# over 1) fails before the first interval.  2**20 is 1000 times the
+# longest run in the tests.
 MAX_INTERVALS = 2 ** 20
 
 
@@ -273,9 +274,12 @@ class Trajectory:
 
 
 def _interval_plan(first: int, t_final: float, tau: float, M: int,
-                   period: Optional[float] = None) -> list:
+                   period: Optional[float] = None) -> Iterator[tuple]:
     """(index, t0, length, t_end, steps, phase) of each delay interval from
     first * tau to t_final, with the step counts described in :func:`solve`.
+
+    The arguments are checked when called; the intervals are then produced
+    one at a time, so a run over many of them holds none but the current.
 
     ``phase`` is None unless the interval shares its step exponentials:
     when ``period`` is p >= 1 whole delays and the full intervals revisit a
@@ -290,18 +294,20 @@ def _interval_plan(first: int, t_final: float, tau: float, M: int,
         raise ValueError(f"t_final = {t_final!r} spans {ratio:.3g} delay intervals, "
                          f"more than the {MAX_INTERVALS} a run may take")
     n_full = int(math.floor(ratio + BREAKPOINT_SNAP))
-    p = round(period / tau) if period is not None else 0
-    shared = p >= 1 and abs(period - p * tau) <= 1e-12 * period and n_full > p
-    plan = [(g, g * tau, tau, (g + 1) * tau, M, (g % p) * tau if shared else None)
-            for g in range(first, first + n_full)]
     frac = ratio - n_full
-    if frac > BREAKPOINT_SNAP:
-        g = first + n_full
-        plan.append((g, g * tau, t_final - g * tau, t_final, int(math.ceil(M * frac)), None))
-    if not plan:
+    if n_full < 1 and frac <= BREAKPOINT_SNAP:
         raise ValueError(f"t_final = {t_final!r} is indistinguishable from the start "
                          f"time (closer than the breaking-point snap tolerance)")
-    return plan
+    p = round(period / tau) if period is not None else 0
+    shared = p >= 1 and abs(period - p * tau) <= 1e-12 * period and n_full > p
+
+    def intervals():
+        for g in range(first, first + n_full):
+            yield g, g * tau, tau, (g + 1) * tau, M, (g % p) * tau if shared else None
+        if frac > BREAKPOINT_SNAP:
+            g = first + n_full
+            yield g, g * tau, t_final - g * tau, t_final, int(math.ceil(M * frac)), None
+    return intervals()
 
 
 def _nonfinite(g: int, k: int, state) -> NumericalFailure:
@@ -412,7 +418,7 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     if t_final <= g0 * tau:
         raise ValueError("t_final must lie beyond t_start")
 
-    plan = _interval_plan(g0, t_final, tau, M, getattr(problem, "period", None))
+    plan = list(_interval_plan(g0, t_final, tau, M, getattr(problem, "period", None)))
     ends = [t0 + np.arange(1, n_steps + 1) * (length / n_steps) if store_steps else [t_end]
             for _, t0, length, t_end, n_steps, _ in plan]
     return Trajectory(grid=system.grid, d=problem.d, times=np.concatenate([[g0 * tau], *ends]),

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -124,7 +125,7 @@ def test_convergence_rejects_periods_whose_reference_power_overflows(capsys, mon
 
 
 @pytest.mark.parametrize("flag", ["--M-list", "--N-list"])
-@pytest.mark.parametrize("value", ["0,4", "x", ""])
+@pytest.mark.parametrize("value", ["0,4", "x", "", "4,4", "4,8,4"])
 def test_bad_integer_list_is_a_usage_error(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as info:
         main(["convergence", "--problem", "example1", "--periods", "1", flag, value])
@@ -484,39 +485,80 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
     assert header["N"] == "8"  # command line wins
 
 
-# Per configuration key: a command line without the option (it may be
-# incomplete without it), and the value to set (None for a flag that takes
-# no value).
+# A complete command line of each command, and per configuration key a
+# value other than its default (per (command, key) where that command needs
+# another); a case drops the key, and the keys exclusive with it, from the
+# command line, then sets it by flag and by config file.
+_RUNS = {
+    "solve": {"problem": "example1", "N": "4", "M": "8", "t_final": "1"},
+    "multipliers": {"problem": "example1", "N": "4", "M": "4"},
+    "convergence": {"problem": "example1", "N": "4", "M": "4", "periods": "1",
+                    "m_list": "2,4,8"},
+    "audit": {"problem": "sir", "N": "4", "M": "4", "t_final": "2"},
+}
+_VALUES = {
+    "problem": "mathieu", ("audit", "problem"): "sir", "N": "5", "M": "3", "order": "2",
+    "t_final": "1.5", "periods": "2", "store_steps": None, "stability_tol": "0.5",
+    "m_list": "2,4", "n_list": "4,6",
+    # drops the M = 8 point (error 0.01926) from the fit, keeps M = 2 and 4
+    "slope_floor": "0.0193",
+}
+_EXCLUSIVE = ({"t_final", "periods"}, {"m_list", "n_list"})
+# sir has no period: the audit reads --periods and rejects it
+_FAILS = {("audit", "periods"): "field 'periods': problem has no period"}
 _SOLVE = ["solve", "--N", "4", "--M", "8", "--t-final", "1"]
 _STUDY = ["convergence", "--N", "4", "--periods", "1"]
-OPTION_CASES = {
-    "problem": (_SOLVE, "nonlinear-scalar"),
-    "N": (["solve", "--M", "8", "--t-final", "1"], "5"),
-    "M": (["solve", "--N", "4", "--t-final", "1"], "3"),
-    "order": (_SOLVE, "4"),
-    "t_final": (["solve", "--N", "4", "--M", "8"], "1.5"),
-    "periods": (["multipliers", "--N", "4", "--M", "4"], "2"),
-    "store_steps": (_SOLVE, None),
-    "stability_tol": (["multipliers", "--N", "4", "--M", "4"], "0.5"),
-    "m_list": (_STUDY, "2,4"),
-    "n_list": (_STUDY + ["--M", "4"], "4,6"),
-    # drops the M = 8 point (error 0.01926) from the fit, keeps M = 2 and 4
-    "slope_floor": (_STUDY + ["--M-list", "2,4,8"], "0.0193"),
-}
 
 
-@pytest.mark.parametrize("key", sorted(set(build_parser()[1]) - {"out"}))
+@pytest.mark.parametrize("key", sorted({key for options in build_parser()[1].values()
+                                        for key in options}))
 def test_config_key_matches_flag(tmp_path, capsys, key):
-    action = build_parser()[1][key]
-    argv, value = OPTION_CASES[key]
-    flag = [action.option_strings[0]] + ([] if value is None else [value])
+    out = tmp_path / "out.csv"
+
+    def run(argv):
+        result = run_cli(argv, capsys)
+        text = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return result + (text,)
+
+    for command, options in build_parser()[1].items():
+        if key not in options:
+            continue
+        value = str(out) if key == "out" else _VALUES.get((command, key), _VALUES.get(key))
+        dropped = {key}.union(*(keys for keys in _EXCLUSIVE if key in keys))
+        argv = [command] + [token for name, text in _RUNS[command].items() if name not in dropped
+                            for token in (options[name].option_strings[0], text)]
+        flag = [options[key].option_strings[0]] + ([] if value is None else [value])
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {'yes' if value is None else value}\n")
+        base = run(argv)
+        from_flag = run(argv + flag)
+        from_file = run(argv + ["--config", str(config)])
+        assert from_file == from_flag != base, command  # the option took effect
+        failure = _FAILS.get((command, key))
+        assert from_flag[0] == (0 if failure is None else 2), from_flag
+        assert failure is None or failure in from_flag[2]
+
+
+def _foreign_options():
+    """(command, flag) of each option that another command takes and this one does not."""
+    flags = {command: {action.option_strings[0] for action in options.values()}
+             for command, options in build_parser()[1].items()}
+    every = set().union(*flags.values())
+    return [(command, flag) for command in flags for flag in sorted(every - flags[command])]
+
+
+@pytest.mark.parametrize("command, flag", _foreign_options())
+def test_option_of_another_command_is_rejected(tmp_path, capsys, command, flag):
+    # a command takes, and so echoes, only the options it reads
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, "1"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     config = tmp_path / "run.cfg"
-    config.write_text(f"{key} = {'yes' if value is None else value}\n")
-    base = run_cli(argv, capsys)
-    from_flag = run_cli(argv + flag, capsys)
-    from_file = run_cli(argv + ["--config", str(config)], capsys)
-    assert from_flag[0] == from_file[0] == 0
-    assert from_file[1] == from_flag[1] != base[1]  # the option took effect
+    config.write_text(f"{flag[2:]} = 1\n")
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert code == 2 and out == "" and "unknown configuration key" in err
 
 
 @pytest.mark.parametrize("written, flag", [
@@ -704,6 +746,32 @@ def test_nonfinite_coefficient_is_a_numerical_failure(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_closed_stdout_ends_the_run_quietly():
+    # the reader stops after a few bytes, as `| head -1` does
+    src = str(Path(ddemagnus.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "ddemagnus", "solve", "--problem", "example1",
+                           "--N", "20", "--M", "64", "--t-final", "31.4159", "--store-steps"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.read(100).startswith(b"# generator = ddemagnus")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE and err == b""
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ddemagnus ")]
+    assert len(lines) >= 4
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 0, f"{line}: {err}"
+
+
 def test_cli_version_and_help_exit():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -728,8 +796,7 @@ _LEGITIMATE = {
     ("convergence", "--slope-floor"): {"0", "-1", "0.5", "2.5", "1e-9", "1e300"},
     ("solve", "--param"): {"0.5", "2.5"},
     ("audit", "--param"): {"0.5", "2.5"},
-    **{(command, "--stability-tol"): {"0", "0.5", "2.5", "1e-9", "1e300"}
-       for command in ("solve", "multipliers", "convergence", "audit")},
+    ("multipliers", "--stability-tol"): {"0", "0.5", "2.5", "1e-9", "1e300"},
 }
 
 
@@ -766,7 +833,7 @@ def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
     assert not wrong, "\n".join(wrong)
 
 
-@pytest.mark.parametrize("command", ["solve", "multipliers", "convergence", "audit"])
+@pytest.mark.parametrize("command", ["multipliers"])
 def test_infinite_stability_tolerance_is_a_usage_error(tmp_path, capsys, command):
     # with an infinite marginal band every verdict would read "marginal"
     out = tmp_path / "out.csv"
