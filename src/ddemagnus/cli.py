@@ -46,6 +46,9 @@ class ConfigError(Exception):
 # config file sets; a key not listed here defaults to None.
 _DEFAULTS = {"problem": "example1", "N": 20, "M": 32, "store_steps": False,
              "stability_tol": 1e-9, "slope_floor": 0.0}
+# A list key and the single value it replaces: once the list is set, the
+# single value is not read, so it may not be set and takes no default.
+_LISTED = {"m_list": "M", "n_list": "N"}
 
 
 def _fmt(value) -> str:
@@ -131,7 +134,7 @@ def _parse_int_list(text: str):
 
 
 def resolve_config(args: argparse.Namespace, options: dict) -> argparse.Namespace:
-    """Merge defaults, config file and command line (later wins).
+    """Merge config file and command line (later wins), then the defaults.
 
     ``options`` maps each configuration key of the command to its parser
     action, in the order of the header lines; the result holds ``command``,
@@ -141,9 +144,10 @@ def resolve_config(args: argparse.Namespace, options: dict) -> argparse.Namespac
     ``M-list`` and ``M_list`` all name --M-list; case matters, since N and
     M are different keys).  Its value is converted by the action's
     ``type`` (or as a true/false word for a flag that takes no value).
+    Setting M or N together with the list that replaces it (``_LISTED``)
+    is an error; otherwise it stays None.
     """
-    cfg = argparse.Namespace(command=args.command,
-                             **{key: _DEFAULTS.get(key) for key in options})
+    cfg = argparse.Namespace(command=args.command, **dict.fromkeys(options))
     params = {}
     if args.config:
         file_values, params = read_config_file(args.config)
@@ -166,6 +170,13 @@ def resolve_config(args: argparse.Namespace, options: dict) -> argparse.Namespac
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
+    unread = {single for listed, single in _LISTED.items()
+              if getattr(cfg, listed, None) is not None}
+    for key in options:
+        if key in unread and getattr(cfg, key) is not None:
+            raise ConfigError(f"field {key!r}: {key}-list replaces it; give only one of them")
+        if key not in unread and getattr(cfg, key) is None:
+            setattr(cfg, key, _DEFAULTS.get(key))
     for item in args.param or []:
         key, value = _parse_param_item(item)
         params[key] = value
@@ -194,9 +205,9 @@ def _fill_order(cfg: argparse.Namespace, problem) -> None:
 
 
 def _validate_common(cfg: argparse.Namespace) -> None:
-    if cfg.N < 1:
+    if cfg.N is not None and cfg.N < 1:
         raise ConfigError("field 'N': must be >= 1")
-    if cfg.M < 1:
+    if cfg.M is not None and cfg.M < 1:
         raise ConfigError("field 'M': must be >= 1")
 
 
@@ -217,15 +228,19 @@ def _stretched(problem, periods: float, whole: bool = False):
 
 
 def _resolve_horizon(cfg: argparse.Namespace, problem) -> float:
-    """Enforce 'exactly one of t_final / periods' and return the horizon."""
-    if cfg.t_final is not None and cfg.periods is not None:
+    """Enforce 'exactly one of t_final / periods' and return the horizon; a
+    command that takes no --periods needs t_final."""
+    periods = getattr(cfg, "periods", None)
+    if cfg.t_final is not None and periods is not None:
         raise ConfigError("fields 't_final'/'periods': give exactly one of them")
     if cfg.t_final is not None:
         if not 0 < cfg.t_final < math.inf:
             raise ConfigError("field 't_final': must be positive and finite")
         return cfg.t_final
-    if cfg.periods is not None:
-        return _stretched(problem, cfg.periods).period
+    if periods is not None:
+        return _stretched(problem, periods).period
+    if not hasattr(cfg, "periods"):
+        raise ConfigError("field 't_final': required")
     raise ConfigError("fields 't_final'/'periods': one of them is required")
 
 
@@ -491,8 +506,7 @@ _COMMANDS = {
                     ("--periods", "--stability-tol")),
     "convergence": (cmd_convergence, "error table against M or N",
                     ("--t-final", "--periods", "--M-list", "--N-list", "--slope-floor")),
-    "audit": (cmd_audit, "per-interval conservation and positivity report",
-              ("--t-final", "--periods")),
+    "audit": (cmd_audit, "per-interval conservation and positivity report", ("--t-final",)),
 }
 
 

@@ -5,12 +5,20 @@ degree 1, 2, 4, 8, 12 or 18, picked from the 1-norm of the input; the
 higher-degree polynomials are evaluated with the product-saving schemes
 of Bader, Blanes and Casas (Mathematics 7:1174, 2019), which makes each
 exponential noticeably cheaper than a Pade-based routine at the same
-accuracy.  At degrees 12 and 18 the q_i of the scheme come from one
+accuracy.  At degree 18 the 1-norm only bounds the squaring count from
+above: the count is taken from bounds on ||A^k||_1^(1/k), k >= 19, built
+from the norms of the powers the scheme forms anyway (the alpha_p of
+Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009), which for
+non-normal inputs lie well below ||A||_1 and save squarings and their
+round-off.  At degrees 12 and 18 the q_i of the scheme come from one
 product of the coefficient table with the stacked powers of the scaled
 input, and the squarings run in two reused n x n buffers.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -98,6 +106,66 @@ def _taylor_exp(A: np.ndarray, degree: int) -> np.ndarray:
     raise ValueError(f"unsupported Taylor degree {degree}")
 
 
+_LOG2_THETA_18 = math.log2(_TAYLOR_THETA[-1][1])
+# At most this many squarings are dropped, so that the A^6 column scaled by
+# 2^(6 drop) stays finite; only a zero or subnormal ||(A / 2^s)^6|| allows more.
+_MAX_DROP = 170
+
+
+@functools.lru_cache(maxsize=None)
+def _dropped_table(drop: int) -> np.ndarray:
+    """The degree-18 table for powers of A / 2^s applied as powers of A / 2^(s - drop):
+    column j, which multiplies A^j for j = 0, 1, 2, 3, 6, times 2^(j drop)."""
+    return np.ldexp(_BBC_TABLES[18], drop * np.array([0, 1, 2, 3, 6]))
+
+
+def _log2_alpha(l1: float, l2: float, l3: float, l6: float, l12: float | None = None) -> float:
+    """log2 of an alpha with ||A^k||_1 <= alpha^k for every k >= 19, from l_j = log2 ||A^j||_1.
+
+    Al-Mohy and Higham (2009): for k = 19 .. 18 + p each ||A^k|| is at most
+    a product of the given norms, with ||A^4|| <= ||A^2||^2 and ||A^5|| <=
+    ||A^2|| ||A^3||, and alpha >= ||A^p||^(1/p) carries the bound on to
+    every larger k; p is 12 when ``l12`` is given, else 6.
+    """
+    l4, l5 = 2 * l2, l2 + l3
+    if l12 is None:   # ||A^(18 + r)|| <= ||A^6||^3 ||A^r||
+        h = 3 * l6
+        return max(l6 / 6, (h + l1) / 19, (h + l2) / 20, (h + l3) / 21, (h + l4) / 22,
+                   (h + l5) / 23)
+    # ||A^(18 + r)|| <= ||A^12|| ||A^6|| ||A^r||, ||A^(24 + r)|| <= ||A^12||^2 ||A^r||
+    h, g = l12 + l6, 2 * l12
+    return max(l12 / 12, (h + l1) / 19, (h + l2) / 20, (h + l3) / 21, (h + l4) / 22,
+               (h + l5) / 23, (g + l1) / 25, (g + l2) / 26, (g + l3) / 27, (g + l4) / 28,
+               (g + l5) / 29, (g + l6) / 30)
+
+
+def _squarings(powers: np.ndarray, s: int, norm: float, scratch: np.ndarray) -> int:
+    """The squarings the degree-18 scheme needs for A = 2^s B, at most s.
+
+    ``powers`` stacks B, B^2, B^3 and B^6, ``norm`` is ||A||_1 and s the count
+    that it implies; ``scratch`` holds three n x n buffers.  theta_18 bounds
+    alpha as it bounds ||A||_1, since sum_{k >= 19} ||A^k|| / k! <= sum
+    alpha^k / k!: the count is max(0, ceil(log2(alpha / theta_18))).  alpha
+    comes from ||B^6|| and, if that still leaves squarings, from ||B^12||
+    formed in ``scratch``.
+    """
+    ones = np.ones(powers.shape[1])
+    np.abs(powers[1:], out=scratch[:3])
+    n2, n3, n6 = (ones @ scratch[:3]).max(axis=1).tolist()
+    if n6 == 0.0:   # B^6 = 0: every term of degree 19 or more vanishes
+        return max(0, s - _MAX_DROP)
+    # log2 ||A^j|| = log2 ||B^j|| + j s
+    logs = (math.log2(norm), math.log2(n2) + 2 * s, math.log2(n3) + 3 * s,
+            math.log2(n6) + 6 * s)
+    taken = min(s, max(0, math.ceil(_log2_alpha(*logs) - _LOG2_THETA_18)))
+    if taken:
+        np.matmul(powers[3], powers[3], out=scratch[0])
+        n12 = (ones @ np.abs(scratch[0], out=scratch[1])).max()
+        taken = 0 if n12 == 0.0 else min(taken, max(0, math.ceil(
+            _log2_alpha(*logs, math.log2(n12) + 12 * s) - _LOG2_THETA_18)))
+    return max(taken, s - _MAX_DROP)
+
+
 def _scaled_taylor_exp(A: np.ndarray, degree: int, norm: float) -> np.ndarray:
     """exp(A) as the 2^s-th power of the degree-12 or -18 polynomial at A / 2^s.
 
@@ -105,7 +173,9 @@ def _scaled_taylor_exp(A: np.ndarray, degree: int, norm: float) -> np.ndarray:
     product with the coefficient table; the combining products and the
     squarings alternate between a spent power and the returned array.
     One block, not one array per term, keeps glibc from handing the pages
-    back to the system after each call and faulting them in again.
+    back to the system after each call and faulting them in again.  The
+    powers are formed at the s of the 1-norm rule; when :func:`_squarings`
+    takes fewer, the exact factors 2^(j drop) go into the table's columns.
     """
     s = max(0, int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1][1]))))
     b = _BBC_TABLES[degree]
@@ -118,6 +188,9 @@ def _scaled_taylor_exp(A: np.ndarray, degree: int, norm: float) -> np.ndarray:
     np.matmul(powers[0], powers[1], out=powers[2])
     if k == 4:
         np.matmul(powers[2], powers[2], out=powers[3])
+    if s:   # only degree 18 scales: degree 12 covers norms up to theta_12
+        taken = _squarings(powers, s, norm, q)
+        b, s = _dropped_table(s - taken), taken
     np.matmul(b[:, 1:], powers.reshape(k, n * n), out=q.reshape(m, n * n))
     q.reshape(m, n * n)[:, ::n + 1] += b[:, :1]
     qaux, work = powers[0], powers[1]  # the powers are spent once q is formed
@@ -148,9 +221,13 @@ def expm(M) -> np.ndarray:
 
     Scaling and squaring with a degree-adapted Taylor polynomial: the
     degree is the smallest of {1, 2, 4, 8, 12, 18} whose accuracy
-    threshold covers ``||M||_1``, and the squaring count is
-    max(0, ceil(log2(||M||_1 / theta_18))).  Raises ValueError, without
-    numpy's overflow warnings, when ``||M||_1`` or the result is not finite.
+    threshold covers ``||M||_1``.  At degree 18 the squaring count is
+    max(0, ceil(log2(alpha / theta_18))), with alpha >= ||M^k||_1^(1/k)
+    for every k >= 19 bounded from ||M||_1, ||M^2||_1, ||M^3||_1,
+    ||M^6||_1 and ||M^12||_1 (Al-Mohy and Higham 2009); alpha <= ||M||_1,
+    so this is never more than max(0, ceil(log2(||M||_1 / theta_18))).
+    Raises ValueError, without numpy's overflow warnings, when ``||M||_1``
+    or the result is not finite.
     """
     A = _validated_square(M, "expm")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -492,8 +492,7 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
 _RUNS = {
     "solve": {"problem": "example1", "N": "4", "M": "8", "t_final": "1"},
     "multipliers": {"problem": "example1", "N": "4", "M": "4"},
-    "convergence": {"problem": "example1", "N": "4", "M": "4", "periods": "1",
-                    "m_list": "2,4,8"},
+    "convergence": {"problem": "example1", "N": "4", "periods": "1", "m_list": "2,4,8"},
     "audit": {"problem": "sir", "N": "4", "M": "4", "t_final": "2"},
 }
 _VALUES = {
@@ -503,9 +502,9 @@ _VALUES = {
     # drops the M = 8 point (error 0.01926) from the fit, keeps M = 2 and 4
     "slope_floor": "0.0193",
 }
-_EXCLUSIVE = ({"t_final", "periods"}, {"m_list", "n_list"})
-# sir has no period: the audit reads --periods and rejects it
-_FAILS = {("audit", "periods"): "field 'periods': problem has no period"}
+_EXCLUSIVE = ({"t_final", "periods"}, {"m_list", "n_list"}, {"n_list", "N"})
+# the study over --M-list reads no M: setting it is a usage error
+_FAILS = {("convergence", "M"): "field 'M': M-list replaces it"}
 _SOLVE = ["solve", "--N", "4", "--M", "8", "--t-final", "1"]
 _STUDY = ["convergence", "--N", "4", "--periods", "1"]
 
@@ -567,7 +566,7 @@ def test_option_of_another_command_is_rejected(tmp_path, capsys, command, flag):
 def test_config_key_accepts_flag_spellings(tmp_path, capsys, written, flag):
     config = tmp_path / "run.cfg"
     config.write_text(f"{written} = 2,4\nt-final = 1\n")
-    argv = ["convergence", "--problem", "example1", "--order", "4", "--M", "4"]
+    argv = ["convergence", "--problem", "example1", "--order", "4"]
     from_file = run_cli(argv + ["--config", str(config)], capsys)
     from_flag = run_cli(argv + [flag, "2,4", "--t-final", "1"], capsys)
     assert from_file[0] == from_flag[0] == 0
@@ -583,6 +582,18 @@ def test_config_key_spellings_stay_case_sensitive(tmp_path, capsys, written):
     config.write_text(f"{written} = 4\n")
     code, _, err = run_cli(["solve", "--t-final", "1", "--config", str(config)], capsys)
     assert code == 2 and "unknown configuration key" in err
+
+
+@pytest.mark.parametrize("key", ["M", "N"])
+def test_convergence_list_replaces_its_single_value(capsys, key):
+    # the study takes every M (or N) from the list: the single value is not
+    # echoed, and setting it is a usage error
+    argv = ["convergence", "--problem", "example1", "--periods", "1", f"--{key}-list", "2,4"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and key not in parse_csv(out)[0]
+    code, out, err = run_cli(argv + [f"--{key}", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: field '{key}': {key}-list replaces it; give only one of them\n"
 
 
 def test_convergence_header_echoes_slope_floor(capsys):
@@ -791,7 +802,7 @@ _LEGITIMATE = {
     ("solve", "--t-final"): {"0.5", "2.5"},
     ("audit", "--t-final"): {"0.5", "2.5"},
     ("convergence", "--t-final"): {"0.5", "2.5"},
-    # a solve may end inside a period; the sir model of audit has no period
+    # a solve may end inside a period
     ("solve", "--periods"): {"0.5", "2.5"},
     ("convergence", "--slope-floor"): {"0", "-1", "0.5", "2.5", "1e-9", "1e300"},
     ("solve", "--param"): {"0.5", "2.5"},
@@ -802,9 +813,16 @@ _LEGITIMATE = {
 
 def _bad_input_argv(command, flag, value, out):
     problem = "sir" if command == "audit" or flag == "--param" else "example1"
-    argv = [command, "--problem", problem, "--N", "4", "--M", "4", "--out", str(out)]
-    if command == "convergence" and flag not in ("--M-list", "--N-list"):
-        argv += ["--M-list", "2,4"]
+    sizes = {"--N": "4", "--M": "4"}
+    if command == "convergence":
+        # the study lists M, or N when --M or --N-list is the flag under test,
+        # in place of the single value
+        single = "--N" if flag in ("--M", "--N-list") else "--M"
+        del sizes[single]
+        if flag != f"{single}-list":
+            sizes[f"{single}-list"] = "2,4"
+    argv = [command, "--problem", problem, "--out", str(out)]
+    argv += [token for pair in sizes.items() for token in pair]
     if command != "multipliers" and flag not in ("--t-final", "--periods"):
         argv += ["--t-final", "1"]
     return argv + (["--param", f"tau={value}"] if flag == "--param" else [flag, value])
