@@ -363,8 +363,7 @@ def cmd_multipliers(cfg: argparse.Namespace, bench) -> int:
         raise ConfigError("field 'problem': multipliers need a linear periodic problem")
     if not 0 <= cfg.stability_tol < math.inf:
         raise ConfigError("field 'stability_tol': must be >= 0 and finite")
-    problem = _stretched(bench.problem, 1.0 if cfg.periods is None else cfg.periods, whole=True)
-    result = monodromy(problem, cfg.N, cfg.M, cfg.order)
+    result = monodromy(bench.problem, cfg.N, cfg.M, cfg.order)
     verdict = stability_verdict(result, cfg.stability_tol)
     dominant = abs(result.dominant)
     header = _header_pairs(cfg, extra=[
@@ -503,7 +502,7 @@ _COMMANDS = {
     "solve": (cmd_solve, "integrate and dump node values",
               ("--t-final", "--periods", "--store-steps")),
     "multipliers": (cmd_multipliers, "characteristic multipliers and stability verdict",
-                    ("--periods", "--stability-tol")),
+                    ("--stability-tol",)),
     "convergence": (cmd_convergence, "error table against M or N",
                     ("--t-final", "--periods", "--M-list", "--N-list", "--slope-floor")),
     "audit": (cmd_audit, "per-interval conservation and positivity report", ("--t-final",)),

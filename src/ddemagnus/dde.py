@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .linalg import NumericalFailure, eigenvalues
+from .linalg import NumericalFailure, SliceError, eigenvalues
 # magnus_step_matrix is magnus_step and is not called here, but stays bound:
 # bench/tracer.py wraps dde.magnus_step_matrix and reports a missing name
 from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix  # noqa: F401
@@ -36,6 +36,11 @@ BREAKPOINT_SNAP = 1e-4
 # over 1) fails before the first interval.  2**20 is 1000 times the
 # longest run in the tests.
 MAX_INTERVALS = 2 ** 20
+
+# Bytes the Taylor block of one stacked expm may take: a chunk of b linear
+# steps at system size n takes 9 n^2 8 b of them (the four powers and five
+# q_i of degree 18), so b = 66 at n = 21 and b = 1 from n = 121 on.
+CHUNK_BYTES = 2 ** 21
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -96,8 +101,9 @@ class QuasilinearDDEProblem:
 DDEProblem = Union[LinearDDEProblem, QuasilinearDDEProblem]
 
 
-def _coefficient(func, arg, d: int, name: str) -> np.ndarray:
-    M = np.asarray(func(arg), dtype=float)
+def _coefficient(M, d: int, name: str) -> np.ndarray:
+    """The value M of coefficient ``name``, checked to be a finite d x d matrix."""
+    M = np.asarray(M, dtype=float)
     if M.shape != (d, d):
         raise ValueError(f"coefficient {name} returned shape {M.shape}, expected {(d, d)}")
     if not np.isfinite(M).all():
@@ -142,22 +148,52 @@ class DiscretizedSystem:
     def big_dim(self) -> int:
         return self.problem.d * (self.grid.N + 1)
 
-    def coefficients(self, t: float) -> tuple:
-        """(A(t), B(t)) of a linear problem, each checked to be a finite d x d matrix."""
-        return tuple(_coefficient(getattr(self.problem, name), t, self.d, name)
-                     for name in ("A", "B"))
+    def coefficients(self, times) -> np.ndarray:
+        """A(t) and B(t) of a linear problem at each of ``times``, shape
+        (len(times), 2, d, d), evaluated once each, in time order.
 
-    def top_rows(self, t: float) -> np.ndarray:
-        """First d rows of the system matrix at time t (linear problems):
-        A(t) in the leading d x d block, B(t) in the trailing one."""
+        The first that raises ValueError, is not d x d or has a non-finite
+        entry raises :class:`SliceError` with the position of its time.
+        """
+        d, named = self.d, (("A", self.problem.A), ("B", self.problem.B))
+        out = np.empty((len(times), 2, d, d))
+        flat = out.reshape(-1, d, d)
+        k, failure = 0, None
+        try:
+            for t in times:
+                for name, func in named:
+                    M = np.asarray(func(t), dtype=float)
+                    # a wrong shape raises from the check of M alone
+                    flat[k] = M if M.shape == (d, d) else _coefficient(M, d, name)
+                    k += 1
+        except ValueError as exc:
+            failure = exc
+        # one finiteness check for all; a non-finite entry is an earlier
+        # failure than ``failure``, and the check of its matrix alone names it
+        if not np.isfinite(flat[:k]).all():
+            k = int(np.argmin(np.isfinite(flat[:k]).all(axis=(1, 2))))
+            try:
+                _coefficient(flat[k], d, named[k % 2][0])
+            except ValueError as exc:
+                failure = exc
+        if failure is not None:
+            raise SliceError(str(failure), k // 2) from failure
+        return out
+
+    def top_rows(self, times) -> np.ndarray:
+        """First d rows of the system matrix at each of ``times`` (linear
+        problems), shape (len(times), d, n): A(t) in the leading d x d block,
+        B(t) in the trailing one; checked as in :meth:`coefficients`."""
         d, n = self.d, self.big_dim
-        out = np.zeros((d, n))
-        out[:, :d], out[:, n - d:] = self.coefficients(t)
+        coefficients = self.coefficients(times)
+        out = np.zeros((len(times), d, n))
+        out[:, :, :d] = coefficients[:, 0]
+        out[:, :, n - d:] = coefficients[:, 1]
         return out
 
     def matrix_at(self, t: float) -> np.ndarray:
         """Assembled system matrix at time t (linear problems)."""
-        return np.concatenate((self.top_rows(t), self._lower))
+        return np.concatenate((self.top_rows([t])[0], self._lower))
 
     def matrix_of_state(self, state: np.ndarray) -> np.ndarray:
         """Assembled system matrix for a big state vector (quasilinear problems),
@@ -167,36 +203,46 @@ class DiscretizedSystem:
         if state.shape != (n,):
             raise ValueError(f"state has shape {state.shape}, expected ({n},)")
         out = np.zeros((d, n))
-        out[:, :d] = _coefficient(self.problem.A, state[n - d:], d, "A(x)")
+        out[:, :d] = _coefficient(self.problem.A(state[n - d:]), d, "A(x)")
         return np.concatenate((out, self._lower))
 
     def stepper(self, order: int):
-        """Step function ``(t, h, state) -> state`` of the given order.
+        """Step function ``(starts, h, state) -> states`` of the given order,
+        and the most steps one call may take.
 
-        Raises ValueError for an order outside :func:`admissible_orders`.
-        Linear problems step ``top_rows`` over the constant rows (a
+        The function takes the consecutive steps of size h from the times
+        ``starts`` and returns the state after each, stacked.  Raises
+        ValueError for an order outside :func:`admissible_orders`.  Linear
+        problems step ``top_rows`` over the constant rows (a
         :class:`TopRows`) with :func:`magnus_step`, a vector or a matrix
-        state alike; quasilinear problems step A(x) as the
-        :class:`DelayExponent` (A(x), I_d, 1) and apply every exponential
-        through one :class:`BlockTriangularExpmv` of the constant rows.
+        state alike, as many steps per call as keep its stacked
+        :func:`expm` within :data:`CHUNK_BYTES`; a coefficient or an
+        exponential that fails raises a ValueError whose ``index``, if
+        any, is the position of its step.  Quasilinear problems take one
+        step per call, stepping A(x) as the :class:`DelayExponent`
+        (A(x), I_d, 1) and applying every exponential through one
+        :class:`BlockTriangularExpmv` of the constant rows.
         """
         kind, orders = admissible_orders(self.problem)
         if order not in orders:
             raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
         if kind == "quasilinear":
             d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
-            A = lambda y: DelayExponent(_coefficient(self.problem.A, y[-d:], d, "A(x)"), eye, 1.0)
-            return lambda t, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)
-        A = TopRows(self.top_rows, self._lower)
-        return lambda t, h, y: magnus_step(A, t, h, y, order)
+            A = lambda y: DelayExponent(_coefficient(self.problem.A(y[-d:]), d, "A(x)"), eye, 1.0)
+            return (lambda starts, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)[None]), 1
+        A, n = TopRows(self.top_rows, self._lower), self.big_dim
+        return (lambda starts, h, y: magnus_step(A, starts, h, y, order),
+                max(1, CHUNK_BYTES // (9 * 8 * n * n)))
 
-    def check_period(self, t: float, phase: float, at_phase: tuple) -> None:
+    def check_period(self, t: float, phase: float, at_phase: np.ndarray) -> None:
         """Raise ValueError unless A and B at t agree with ``at_phase``, their
         :meth:`coefficients` at ``phase``, the time a whole number of periods
         earlier (linear problems)."""
-        for name, now, then in zip(("A", "B"), self.coefficients(t), at_phase):
-            gap = float(np.abs(now - then).max())
-            if not gap <= 1e-9 * (1.0 + max(np.abs(now).max(), np.abs(then).max())):
+        # a few entries each: plain floats take fewer calls than numpy reductions
+        now = self.coefficients([t])[0].reshape(2, -1).tolist()
+        for name, a, b in zip("AB", now, at_phase.reshape(2, -1).tolist()):
+            gap = max(abs(x - y) for x, y in zip(a, b))
+            if not gap <= 1e-9 * (1.0 + max(map(abs, a + b))):
                 raise ValueError(f"{name} at t = {t!r} differs by {gap:.3g} from {name} at "
                                  f"t = {phase!r}: period {self.problem.period!r} is not a "
                                  f"period of the coefficients")
@@ -310,9 +356,13 @@ def _interval_plan(first: int, t_final: float, tau: float, M: int,
     return intervals()
 
 
-def _nonfinite(g: int, k: int, state) -> NumericalFailure:
-    return NumericalFailure(f"non-finite state in interval {g}, step {k}",
-                            interval=g, step=k, partial=state)
+def _check_finite(g: int, k: int, states: np.ndarray) -> None:
+    """Raise NumericalFailure at the first of ``states``, steps k, k + 1, ...
+    of interval g, that is not finite."""
+    if not np.isfinite(states).all():
+        j = int(np.argmin(np.isfinite(states.reshape(len(states), -1)).all(axis=1)))
+        raise NumericalFailure(f"non-finite state in interval {g}, step {k + j}",
+                               interval=g, step=k + j, partial=states[j])
 
 
 def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
@@ -321,19 +371,26 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
 
     Returns one array: the start state, then the state at each interval
     end, or with ``every_step`` at each step end.  An interval without a
-    ``phase`` takes its steps one after the other
-    (:meth:`DiscretizedSystem.stepper`).  The first interval of a
-    ``phase`` forms the cumulative propagators C_k = E_k ... E_1 of its
-    steps by propagating the identity over it at the reduced times, as
-    :func:`monodromy` does over a period; every interval of that phase
-    then gets all of its states as one product of the stacked C_k with its
-    start state, after a spot check of the period: A and B at its start
-    against their values at the phase, evaluated once and kept with the
-    C_k.  A coefficient or exponential that rejects its input (wrong shape,
-    non-finite entries), a failed spot check and a non-finite state or
-    C_k all raise NumericalFailure with the interval and step.
+    ``phase`` takes its steps in chunks (:meth:`DiscretizedSystem.stepper`):
+    one call per chunk evaluates the coefficients of its steps in time
+    order, exponentiates them in one stacked :func:`expm` and applies the
+    exponentials in order.  The first interval of a ``phase`` forms the
+    cumulative propagators C_k = E_k ... E_1 of its steps by propagating
+    the identity over it at the reduced times, as :func:`monodromy` does
+    over a period; every interval of that phase then gets all of its states
+    as one product of the stacked C_k with its start state, after a spot
+    check of the period: A and B at its start against their values at the
+    phase, evaluated once and kept with the C_k.
+
+    A coefficient or exponential that rejects its input (wrong shape,
+    non-finite entries), a failed spot check and a non-finite state or C_k
+    all raise NumericalFailure with the interval and step.  For a
+    non-finite state ``partial`` holds that state, for a rejected input the
+    state the failing step starts from: a chunk applies none of its steps
+    until all of its exponentials are formed, so a chunk that fails at one
+    of its steps is first retaken up to that step.
     """
-    step = system.stepper(order)
+    step, chunk = system.stepper(order)
     cumulative = {}
     out = np.empty((1 + sum(n if every_step else 1 for *_, n, _ in plan),) + state.shape)
     out[0] = state
@@ -347,14 +404,24 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
             k = 0
             try:
                 if phase is None:
-                    for k in range(n_steps):
-                        state = step(t0 + k * h, h, state)
-                        if not np.isfinite(state).all():
-                            raise _nonfinite(g, k, state)
+                    take = chunk
+                    while k < n_steps:
+                        starts = [t0 + j * h for j in range(k, min(k + take, n_steps))]
+                        try:
+                            states = step(starts, h, state)
+                        except ValueError as exc:
+                            if not 0 < getattr(exc, "index", 0) < len(starts):
+                                raise
+                            # retake the steps before the failing one, so that
+                            # its failure is raised from its own start state
+                            take = exc.index
+                            continue
+                        _check_finite(g, k, states)
                         if every_step:
-                            kept[k] = state
+                            kept[k:k + len(states)] = states
+                        state, k, take = states[-1], k + len(states), chunk
                 else:
-                    at_phase, C = cumulative.get(phase) or (system.coefficients(phase), None)
+                    at_phase, C = cumulative.get(phase) or (system.coefficients([phase])[0], None)
                     if phase != t0:
                         system.check_period(t0, phase, at_phase)
                     if C is None:
@@ -364,10 +431,7 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                     states = kept if every_step else np.empty((n_steps,) + state.shape)
                     np.matmul(C.reshape(-1, C.shape[-1]), state,
                               out=states.reshape((-1,) + state.shape[1:]))
-                    finite = np.isfinite(states.reshape(n_steps, -1)).all(axis=1)
-                    if not finite.all():
-                        k = int(np.argmin(finite))
-                        raise _nonfinite(g, k, states[k])
+                    _check_finite(g, 0, states)
                     state = states[-1]
             except ValueError as exc:
                 raise NumericalFailure(f"{exc} in interval {g}, step {k}",

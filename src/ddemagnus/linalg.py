@@ -12,7 +12,9 @@ Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009), which for
 non-normal inputs lie well below ||A||_1 and save squarings and their
 round-off.  At degrees 12 and 18 the q_i of the scheme come from one
 product of the coefficient table with the stacked powers of the scaled
-input, and the squarings run in two reused n x n buffers.
+input, and the squarings run in two reused buffers.  One kernel takes a
+stack of matrices, a single matrix being the stack of one: each slice
+gets its own degree, squaring count and table, bit for bit as on its own.
 """
 
 from __future__ import annotations
@@ -36,6 +38,14 @@ class NumericalFailure(RuntimeError):
         self.interval = interval
         self.step = step
         self.partial = partial
+
+
+class SliceError(ValueError):
+    """A ValueError about one slice of a stacked input; ``index`` is its position."""
+
+    def __init__(self, message, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 # Largest 1-norm for which a degree-m Taylor polynomial of exp reaches
@@ -80,8 +90,9 @@ _BBC_TABLES = {
 }
 
 def _taylor_exp(A: np.ndarray, degree: int) -> np.ndarray:
-    """Taylor polynomial of exp(A) of degree 1, 2, 4 or 8, ||A||_1 <= theta(degree)."""
-    n = A.shape[0]
+    """Taylor polynomial of exp(A) of degree 1, 2, 4 or 8, ||A||_1 <= theta(degree),
+    for each A of a (b, n, n) stack."""
+    n = A.shape[-1]
     eye = np.eye(n)
     if degree == 1:
         return eye + A
@@ -139,70 +150,86 @@ def _log2_alpha(l1: float, l2: float, l3: float, l6: float, l12: float | None = 
                (g + l5) / 29, (g + l6) / 30)
 
 
-def _squarings(powers: np.ndarray, s: int, norm: float, scratch: np.ndarray) -> int:
-    """The squarings the degree-18 scheme needs for A = 2^s B, at most s.
+def _squarings(powers: np.ndarray, s: list, norms: list, scratch: np.ndarray) -> list:
+    """The squarings the degree-18 scheme needs for each A_i = 2^(s_i) B_i of a
+    stack, each at most s_i.
 
-    ``powers`` stacks B, B^2, B^3 and B^6, ``norm`` is ||A||_1 and s the count
-    that it implies; ``scratch`` holds three n x n buffers.  theta_18 bounds
-    alpha as it bounds ||A||_1, since sum_{k >= 19} ||A^k|| / k! <= sum
-    alpha^k / k!: the count is max(0, ceil(log2(alpha / theta_18))).  alpha
-    comes from ||B^6|| and, if that still leaves squarings, from ||B^12||
-    formed in ``scratch``.
+    ``powers`` stacks the B_i, B_i^2, B_i^3 and B_i^6, shape (4, b, n, n),
+    ``norms`` holds the ||A_i||_1 and ``s`` the counts they imply;
+    ``scratch`` holds (3, b, n, n).  theta_18 bounds alpha as it bounds
+    ||A||_1, since sum_{k >= 19} ||A^k|| / k! <= sum alpha^k / k!: the count
+    is max(0, ceil(log2(alpha / theta_18))).  alpha comes from ||B^6|| and,
+    for the slices that still need squarings, from ||B^12||.  The norms
+    come from one product of ones with the stacked |B_i^j|, the same gemv
+    for each slice as for that matrix alone.
     """
-    ones = np.ones(powers.shape[1])
-    np.abs(powers[1:], out=scratch[:3])
-    n2, n3, n6 = (ones @ scratch[:3]).max(axis=1).tolist()
-    if n6 == 0.0:   # B^6 = 0: every term of degree 19 or more vanishes
-        return max(0, s - _MAX_DROP)
-    # log2 ||A^j|| = log2 ||B^j|| + j s
-    logs = (math.log2(norm), math.log2(n2) + 2 * s, math.log2(n3) + 3 * s,
-            math.log2(n6) + 6 * s)
-    taken = min(s, max(0, math.ceil(_log2_alpha(*logs) - _LOG2_THETA_18)))
-    if taken:
-        np.matmul(powers[3], powers[3], out=scratch[0])
-        n12 = (ones @ np.abs(scratch[0], out=scratch[1])).max()
-        taken = 0 if n12 == 0.0 else min(taken, max(0, math.ceil(
-            _log2_alpha(*logs, math.log2(n12) + 12 * s) - _LOG2_THETA_18)))
-    return max(taken, s - _MAX_DROP)
+    ones = np.ones(powers.shape[-1])
+    np.abs(powers[1:], out=scratch)
+    high = (ones @ scratch).max(axis=-1).T.tolist()
+    # log2 ||A^j|| = log2 ||B^j|| + j s; B^6 = 0 leaves no term of degree 19 or more
+    logs = [None if n6 == 0.0 else (math.log2(norm), math.log2(n2) + 2 * s_i,
+                                     math.log2(n3) + 3 * s_i, math.log2(n6) + 6 * s_i)
+            for s_i, norm, (n2, n3, n6) in zip(s, norms, high)]
+    taken = [0 if l is None else min(s_i, max(0, math.ceil(_log2_alpha(*l) - _LOG2_THETA_18)))
+             for s_i, l in zip(s, logs)]
+    live = [i for i, t in enumerate(taken) if t]
+    if live:
+        sixth = powers[3] if len(live) == len(s) else powers[3][live]
+        twelfth = np.matmul(sixth, sixth, out=scratch[0, :len(live)])
+        n12 = (ones @ np.abs(twelfth, out=scratch[1, :len(live)])).max(axis=-1).tolist()
+        for i, n12_i in zip(live, n12):
+            taken[i] = 0 if n12_i == 0.0 else min(taken[i], max(0, math.ceil(
+                _log2_alpha(*logs[i], math.log2(n12_i) + 12 * s[i]) - _LOG2_THETA_18)))
+    return [max(t, s_i - _MAX_DROP) for t, s_i in zip(taken, s)]
 
 
-def _scaled_taylor_exp(A: np.ndarray, degree: int, norm: float) -> np.ndarray:
-    """exp(A) as the 2^s-th power of the degree-12 or -18 polynomial at A / 2^s.
+def _scaled_taylor_exp(A: np.ndarray, degree: int, norms: list, out: np.ndarray) -> np.ndarray:
+    """exp(A_i) for each A_i of a (b, n, n) stack as the 2^(s_i)-th power of the
+    degree-12 or -18 polynomial at A_i / 2^(s_i), into ``out``.
 
-    One block holds the powers of A / 2^s, then the q_i, formed by one
-    product with the coefficient table; the combining products and the
-    squarings alternate between a spent power and the returned array.
-    One block, not one array per term, keeps glibc from handing the pages
-    back to the system after each call and faulting them in again.  The
-    powers are formed at the s of the 1-norm rule; when :func:`_squarings`
-    takes fewer, the exact factors 2^(j drop) go into the table's columns.
+    One block holds the powers of the A_i / 2^(s_i), then the q_i, each
+    as a (b, n, n) stack, so every product runs once over the stack; per
+    slice the q_i come from one product of its (m, k) coefficient table
+    with its (k, n^2) powers.  The combining products and the squarings
+    alternate between a spent power and ``out``, and a slice is squared
+    only as often as it needs.  One block, not one array per term, keeps
+    glibc from handing the pages back to the system after each call and
+    faulting them in again.  The powers are formed at the s_i of the
+    1-norm rule; when :func:`_squarings` takes fewer, the exact factors
+    2^(j drop) go into the columns of that slice's table.
     """
-    s = max(0, int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1][1]))))
-    b = _BBC_TABLES[degree]
-    m, k = b.shape[0], b.shape[1] - 1
-    n = A.shape[0]
-    block = np.empty((k + m, n, n))
+    s = [max(0, int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1][1])))) for norm in norms]
+    tables = _BBC_TABLES[degree]
+    m, k = tables.shape[0], tables.shape[1] - 1
+    b, n = A.shape[0], A.shape[-1]
+    block = np.empty((k + m, b, n, n))
     powers, q = block[:k], block[k:]
-    np.multiply(A, 0.5 ** s, out=powers[0])
+    np.multiply(A, np.array([0.5 ** s_i for s_i in s])[:, None, None], out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
     np.matmul(powers[0], powers[1], out=powers[2])
     if k == 4:
         np.matmul(powers[2], powers[2], out=powers[3])
-    if s:   # only degree 18 scales: degree 12 covers norms up to theta_12
-        taken = _squarings(powers, s, norm, q)
-        b, s = _dropped_table(s - taken), taken
-    np.matmul(b[:, 1:], powers.reshape(k, n * n), out=q.reshape(m, n * n))
-    q.reshape(m, n * n)[:, ::n + 1] += b[:, :1]
+    if any(s):   # only degree 18 scales: degree 12 covers norms up to theta_12
+        taken = _squarings(powers, s, norms, q[:3])
+        tables = np.array([_dropped_table(s_i - t) for s_i, t in zip(s, taken)])
+        s = taken
+    q_flat = q.reshape(m, b, n * n).swapaxes(0, 1)
+    np.matmul(tables[..., 1:], powers.reshape(k, b, n * n).swapaxes(0, 1), out=q_flat)
+    q_flat[..., ::n + 1] += tables[..., :1]
     qaux, work = powers[0], powers[1]  # the powers are spent once q is formed
     np.matmul(q[3], q[-1], out=qaux)
     qaux += q[2]
     q[1] += qaux
-    result = np.empty((n, n))
-    X, Y = (result, work) if s % 2 == 0 else (work, result)
+    X, Y = (out, work) if max(s) % 2 == 0 else (work, out)
     np.matmul(q[1], qaux, out=X)
     X += q[0]
-    for _ in range(s):
-        np.matmul(X, X, out=Y)
+    for j in range(max(s)):
+        live = [i for i, s_i in enumerate(s) if s_i > j]
+        if len(live) == b:
+            np.matmul(X, X, out=Y)
+        else:
+            Y[...] = X
+            Y[live] = X[live] @ X[live]
         X, Y = Y, X
     return X
 
@@ -217,7 +244,7 @@ def _validated_square(M, name: str) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential of a real square matrix.
+    """Matrix exponential of a real square matrix, or of each matrix of a stack.
 
     Scaling and squaring with a degree-adapted Taylor polynomial: the
     degree is the smallest of {1, 2, 4, 8, 12, 18} whose accuracy
@@ -226,31 +253,57 @@ def expm(M) -> np.ndarray:
     for every k >= 19 bounded from ||M||_1, ||M^2||_1, ||M^3||_1,
     ||M^6||_1 and ||M^12||_1 (Al-Mohy and Higham 2009); alpha <= ||M||_1,
     so this is never more than max(0, ceil(log2(||M||_1 / theta_18))).
-    Raises ValueError, without numpy's overflow warnings, when ``||M||_1``
-    or the result is not finite.
+
+    A (b, n, n) stack returns the b exponentials stacked; a matrix is the
+    stack of one.  Each slice gets its own degree, its own squaring count
+    and its own coefficient table, and goes through the same products as
+    on its own, so ``expm(M)[i]`` equals ``expm(M[i])`` bit for bit.
+    Raises a :class:`SliceError` (a ValueError) whose ``index`` is the
+    first failing slice, without numpy's overflow warnings, when its
+    entries, its ``||M||_1`` or its result are not finite.
     """
-    A = _validated_square(M, "expm")
+    A = np.asarray(M, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expm expects a square matrix or a stack of them, got shape {A.shape}")
+    result = np.empty(A.shape)
+    stack, out = A.reshape((-1,) + A.shape[-2:]), result.reshape((-1,) + A.shape[-2:])
+    b, n = stack.shape[0], stack.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.abs(A).sum(axis=0).max()
-        if not np.isfinite(norm):
-            raise ValueError(f"expm needs a finite 1-norm to scale its input, got {norm}")
-        degree = next((d for d, theta in _TAYLOR_THETA if norm <= theta), 18)
-        if A.shape[0] == 1:
-            X = np.exp(A)
-        elif degree <= 8:
-            X = _taylor_exp(A, degree)
-        else:
-            X = _scaled_taylor_exp(A, degree, norm)
-    if not np.isfinite(X).all():
-        raise ValueError(f"expm result is not finite (input 1-norm {norm:.6g})")
-    return X
+        norms = np.abs(stack).sum(axis=1).max(axis=1).tolist()
+        bad = [i for i, norm in enumerate(norms) if not math.isfinite(norm)]
+        if bad:
+            i = bad[0]
+            if not np.isfinite(stack[i]).all():
+                raise SliceError("expm expects finite entries", i)
+            raise SliceError(f"expm needs a finite 1-norm to scale its input, got {norms[i]}", i)
+        degrees = [next((d for d, theta in _TAYLOR_THETA if norm <= theta), 18)
+                   for norm in norms]
+        if n == 1:
+            degrees = []
+            np.exp(stack, out=out)
+        for degree in sorted(set(degrees)):
+            live = [i for i, d in enumerate(degrees) if d == degree]
+            whole = len(live) == b
+            part, part_norms = (stack, norms) if whole else (stack[live], [norms[i] for i in live])
+            if degree <= 8:
+                X = _taylor_exp(part, degree)
+            else:
+                X = _scaled_taylor_exp(part, degree, part_norms,
+                                       out if whole else np.empty(part.shape))
+            if X is not out:
+                out[live] = X
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SliceError(f"expm result is not finite (input 1-norm {norms[i]:.6g})", i)
+    return result
 
 
 def commutator(A, B) -> np.ndarray:
-    """Matrix commutator A @ B - B @ A."""
+    """Matrix commutator A @ B - B @ A, of two matrices or slice by slice of two stacks."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape != B.shape:
         raise ValueError(
             f"commutator needs square matrices of equal size, got {A.shape} and {B.shape}")
     return A @ B - B @ A

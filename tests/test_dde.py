@@ -7,9 +7,10 @@ import pytest
 
 from ddemagnus import (ChebyshevGrid, DiscretizedSystem, LinearDDEProblem,
                        NumericalFailure, OutOfRangeError, QuasilinearDDEProblem,
-                       builtin_problem, discretize, eigenvalues, expm, monodromy,
-                       solve, stability_verdict)
-from ddemagnus.dde import MonodromyResult, Trajectory
+                       builtin_problem, dde, discretize, eigenvalues, expm, magnus_step,
+                       monodromy, solve, stability_verdict)
+from ddemagnus.dde import MonodromyResult, Trajectory, _interval_plan
+from ddemagnus.magnus_linear import TopRows
 
 SQRT2 = np.sqrt(2.0)
 
@@ -257,6 +258,96 @@ def nan_after(t_bad, period=None):
         A=lambda t: np.array([[0.1 * np.sin(t) if t <= t_bad else np.nan]]),
         B=lambda t: np.array([[-1.0]]),
         phi=lambda t: np.array([1.0]), period=period)
+
+
+def _step_loop(problem, N, M, order, t_final, state):
+    """The state after each step of a plain loop of single magnus_step calls
+    over the interval plan of :func:`solve` and :func:`monodromy`."""
+    system = discretize(problem, N)
+    A = TopRows(system.top_rows, system._lower)
+    states = []
+    for _, t0, length, _, n_steps, _ in _interval_plan(0, t_final, problem.tau, M):
+        h = length / n_steps
+        for k in range(n_steps):
+            state = magnus_step(A, t0 + k * h, h, state, order)
+            states.append(state)
+    return np.array(states)
+
+
+# (CHUNK_BYTES, steps per chunk at N = 6): one chunk per interval of 16 steps,
+# or chunks of 5, which split 16 steps 5 + 5 + 5 + 1 and the 7 of the
+# trailing partial interval 5 + 2
+_CHUNKINGS = [(dde.CHUNK_BYTES, 148), (5 * 9 * 8 * 14 ** 2, 5)]
+
+
+@pytest.mark.parametrize("chunk_bytes, chunk", _CHUNKINGS, ids=["whole", "uneven"])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_chunked_intervals_equal_the_step_loop(monkeypatch, order, chunk_bytes, chunk):
+    monkeypatch.setattr(dde, "CHUNK_BYTES", chunk_bytes)
+    mathieu = builtin_problem("mathieu").problem   # d = 2, n = 14 at N = 6
+    assert discretize(mathieu, 6).stepper(order)[1] == chunk
+    # a vector state over two intervals and a partial one, without reuse
+    problem = dataclasses.replace(mathieu, period=None)
+    t_final = 2.4 * problem.tau
+    states = solve(problem, 6, 16, order, t_final, store_steps=True).states
+    np.testing.assert_array_equal(
+        states[1:], _step_loop(problem, 6, 16, order, t_final, states[0]))
+    # a matrix state over a period of one interval and a half
+    problem = dataclasses.replace(mathieu, period=1.5 * mathieu.tau)
+    np.testing.assert_array_equal(
+        monodromy(problem, 6, 16, order).monodromy,
+        _step_loop(problem, 6, 16, order, problem.period, np.eye(14))[-1])
+
+
+def test_a_wide_system_exponentiates_one_step_at_a_time():
+    # 9 n^2 doubles of Taylor block per step: a chunk holds 66 steps at
+    # n = 21 but one at n = 122, where a Mathieu interval of 14 steps would
+    # stack 15 MB; its peak stays near the 1.07 MB of one 2-D block
+    assert discretize(builtin_problem("example1").problem, 20).stepper(6)[1] == 66
+    problem = builtin_problem("mathieu").problem
+    assert discretize(problem, 60).stepper(6)[1] == 1
+    solve(problem, 60, 14, 6, problem.tau)   # what a first call allocates once
+    tracemalloc.start()
+    try:
+        solve(problem, 60, 14, 6, problem.tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 9 * 122 ** 2 * 8
+
+
+def _rejects_in(step_of):
+    """x' = a(t) x - x(t - 1), stepped 16 times per delay in one chunk at N = 6;
+    ``step_of`` maps the step a time falls in to what A returns there."""
+    def A(t):
+        return step_of(min(int(16 * t), 15))
+    return LinearDDEProblem(d=1, tau=1.0, A=A, B=lambda t: np.array([[-1.0]]),
+                            phi=lambda t: np.array([1.0]))
+
+
+@pytest.mark.parametrize("A, step, message", [
+    (lambda k: np.array([[np.nan if k >= 9 else 0.1]]), 9,
+     "coefficient A returned non-finite entries"),
+    (lambda k: np.zeros((2, 2) if k == 5 else (1, 1)), 5,
+     "coefficient A returned shape (2, 2), expected (1, 1)"),
+    # the first failure in time order wins over a later one of another kind
+    (lambda k: np.array([[np.nan]]) if k == 9 else np.zeros((2, 2) if k == 12 else (1, 1)), 9,
+     "coefficient A returned non-finite entries"),
+], ids=["nan at step 9", "shape at step 5", "nan before shape"])
+def test_a_failure_inside_a_chunk_reports_its_own_step(A, step, message):
+    problem = _rejects_in(A)
+    assert discretize(problem, 6).stepper(6)[1] >= 16
+    with pytest.raises(NumericalFailure) as info:
+        solve(problem, 6, 16, 6, 1.0)
+    assert (info.value.interval, info.value.step) == (0, step)
+    assert f"{message} in interval 0, step {step}" in str(info.value)
+    # the chunk is retaken up to the failing step: partial is the state
+    # that step starts from, as in a loop of single steps
+    system = discretize(problem, 6)
+    A, state = TopRows(system.top_rows, system._lower), system.phi_vector
+    for k in range(step):
+        state = magnus_step(A, k / 16, 1 / 16, state, 6)
+    np.testing.assert_array_equal(info.value.partial, state)
 
 
 def test_nonfinite_coefficient_reports_location():

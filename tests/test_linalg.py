@@ -45,7 +45,8 @@ def squarings_taken(M):
     B = M * 0.5 ** s
     B2 = B @ B
     B3 = B @ B2
-    return linalg._squarings(np.stack([B, B2, B3, B3 @ B3]), s, norm, np.empty((3, *M.shape)))
+    powers = np.stack([B, B2, B3, B3 @ B3])[:, None]
+    return linalg._squarings(powers, [s], [norm], np.empty((3, 1, *M.shape)))[0]
 
 
 def longdouble_expm(M, degree=23):
@@ -73,7 +74,7 @@ def mathieu_exponent(N, order, M=128, k=37):
     problem = builtin_problem("mathieu").problem
     system = discretize(problem, N)
     h = problem.period / M
-    return _omega(TopRows(system.top_rows, system._lower), k * h, h, order)
+    return _omega(TopRows(system.top_rows, system._lower), [k * h], h, order)[0]
 
 
 def test_expm_zero_matrix():
@@ -372,3 +373,56 @@ def test_eigenvalues_input_validation():
 def test_numerical_failure_carries_context():
     err = NumericalFailure("boom", interval=3, step=7, partial=None)
     assert err.interval == 3 and err.step == 7 and err.partial is None
+
+
+def _mixed_stack(n, count):
+    """``count`` n x n inputs that cycle through the zero matrix, every Taylor
+    degree, 0 to 5 squarings at degree 18, a nilpotent input and one at the
+    170-drop cap, in an order that mixes them in any stretch of a few."""
+    kinds = [0.0, 1e-17, 1e-9, 1e-4, 0.03, 0.2, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6,
+             "nilpotent", "cap"]
+    stack = np.empty((count, n, n))
+    for i in range(count):
+        kind = kinds[(3 * i + 12) % len(kinds)]
+        if kind == "nilpotent":
+            stack[i] = 10.0 * np.eye(n, k=1)
+        elif kind == "cap":   # N^2 = 0 at 1-norm 1e60: s = 200, of which 170 are dropped
+            stack[i] = 0.0
+            stack[i, 0, -1] = 1e60
+        else:
+            stack[i] = equal_column_sums(n, kind, 1000 * n + i)
+    return stack
+
+
+@pytest.mark.parametrize("n", [2, 21, 122])
+@pytest.mark.parametrize("count", [1, 7, 66])
+def test_stacked_expm_equals_expm_of_each_slice(n, count):
+    # each slice takes its own degree, squaring count and table, so a stack
+    # changes no bit of any exponential
+    stack = _mixed_stack(n, count)
+    got = expm(stack)
+    assert got.shape == stack.shape and got.flags.c_contiguous and got.flags.owndata
+    for i in range(count):
+        np.testing.assert_array_equal(got[i], expm(stack[i]))
+    if count == 66:
+        scaled = [M for M in stack if norm1(M) > THETA_12]
+        assert {squarings_taken(M) for M in scaled} == {0, 1, 2, 3, 4, 5, 30}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "expm expects finite entries"),
+    (1e308, "expm needs a finite 1-norm to scale its input, got inf"),
+    (1000.0, r"expm result is not finite \(input 1-norm 2000\)"),
+])
+def test_stacked_expm_names_the_slice_that_fails(entry, message):
+    stack = _mixed_stack(4, 7)
+    stack[3] = np.diag([entry, 0.0, 0.0, entry])
+    stack[3, 1, 3] = entry
+    # the message is the one of that slice alone; the index names the slice
+    with pytest.raises(ValueError, match=message) as info:
+        expm(stack[3])
+    assert isinstance(info.value, linalg.SliceError) and info.value.index == 0
+    with pytest.raises(ValueError, match=message) as info:
+        expm(stack)
+    assert isinstance(info.value, linalg.SliceError) and info.value.index == 3

@@ -24,6 +24,11 @@ def dense_omega(A, t, h, order):
             + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
 
 
+def at_each(f):
+    """The ``TopRows.top`` form of a function of one time: stacked over a sequence."""
+    return lambda times: np.array([f(t) for t in times])
+
+
 def delay_rows(d, seed, N=8, tau=1.0):
     """Random smooth top rows over the delay rows (2/tau)(D kron I_d), as
     TopRows and as the full-matrix callable."""
@@ -33,7 +38,7 @@ def delay_rows(d, seed, N=8, tau=1.0):
     def top(t):
         return c0 + np.sin(t) * c1 + np.cos(2.0 * t) * c2
 
-    return TopRows(top, lower), lambda t: np.vstack((top(t), lower))
+    return TopRows(at_each(top), lower), lambda t: np.vstack((top(t), lower))
 
 
 def assert_relative(got, ref, tol):
@@ -152,9 +157,9 @@ def test_structured_omega_matches_dense_formula(order, d):
     rows, full = delay_rows(d, seed=d)
     for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
         ref = dense_omega(full, t, h, order)
-        assert_relative(_omega(rows, t, h, order), ref, 1e-13)
+        assert_relative(_omega(rows, [t], h, order)[0], ref, 1e-13)
         # a plain callable is the case d = n, without constant rows
-        assert_relative(_omega(TopRows(full), t, h, order), ref, 1e-13)
+        assert_relative(_omega(TopRows(at_each(full)), [t], h, order)[0], ref, 1e-13)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
@@ -165,9 +170,10 @@ def test_plain_callable_and_factored_forms_give_the_same_exponent(order):
     rows, full = delay_rows(2, seed=5)
     n = rows.lower.shape[1]
     for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
-        dense = _omega(TopRows(full), t, h, order)
-        assert_relative(_omega(TopRows(full, np.empty((0, n))), t, h, order), dense, 1e-13)
-        assert_relative(_omega(rows, t, h, order), dense, 1e-13)
+        dense = _omega(TopRows(at_each(full)), [t], h, order)[0]
+        assert_relative(_omega(TopRows(at_each(full), np.empty((0, n))), [t], h, order)[0], dense,
+                        1e-13)
+        assert_relative(_omega(rows, [t], h, order)[0], dense, 1e-13)
 
 
 def test_mathieu_monodromy_matches_dense_reference_propagation():
@@ -178,3 +184,17 @@ def test_mathieu_monodromy_matches_dense_reference_propagation():
     for k in range(64):
         ref = expm(dense_omega(system.matrix_at, k * h, h, 6)) @ ref
     assert_relative(monodromy(problem, 30, 64, 6).monodromy, ref, 1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_a_sequence_of_starts_equals_a_loop_of_single_steps(order):
+    # one call over consecutive steps stacks their exponents and states,
+    # for top rows and for a plain callable (dense commutators) alike
+    rows, full = delay_rows(2, seed=order)
+    h, starts = 0.05, [0.3 + k * 0.05 for k in range(5)]
+    for A, y in ((rows, np.linspace(1.0, 2.0, rows.lower.shape[1])), (full, np.eye(18))):
+        states = magnus_step(A, starts, h, y, order)
+        assert states.shape == (5,) + y.shape
+        for t, state in zip(starts, states):
+            y = magnus_step(A, t, h, y, order)
+            np.testing.assert_array_equal(state, y)
