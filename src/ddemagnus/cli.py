@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import itertools
 import math
 import os
+import stat
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .dde import (LinearDDEProblem, admissible_orders, monodromy, solve,
+from .dde import (LinearDDEProblem, admissible_orders, monodromy, solve, solve_blocks,
                   stability_verdict)
 from .linalg import NumericalFailure
 from .models import builtin_problem
@@ -262,22 +266,85 @@ def _format_rows(rows) -> list:
     return [",".join(_fmt(cell) for cell in row) for row in rows]
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The binary handle the CSV is written to: stdout's, or for ``path`` a
+    new file beside it that takes the place of ``path`` once the CSV is
+    complete, and is removed if the writing raises (KeyboardInterrupt too),
+    so a failed run leaves no file and an existing one as it was.
+
+    The new file is created as ``open(path, "w")`` would create it, under
+    the umask, and takes the mode of a file it replaces; it is a new file
+    all the same, so other hard links keep the old contents and the owner
+    becomes the user who runs it.  A path that is not a regular file, such
+    as /dev/null or a pipe, is written in place.  A file that cannot be
+    opened, or an existing one that the user may not write, is a
+    ConfigError.
+    """
+    def opened(name, mode):
+        try:
+            return open(name, mode)
+        except OSError as exc:
+            raise ConfigError(f"field 'out': cannot write {path}: {exc.strerror}") from None
+
+    if not path:
+        sys.stdout.flush()
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:   # a text stream, such as an io.StringIO
+            yield SimpleNamespace(write=lambda data: sys.stdout.write(bytes(data).decode()))
+            return
+        yield binary
+        binary.flush()
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:   # a missing file, or a path that opening reports
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with opened(target, "wb") as handle:
+            yield handle
+        return
+    if mode is not None and not os.access(target, os.W_OK):
+        raise ConfigError(f"field 'out': cannot write {path}: {os.strerror(errno.EACCES)}")
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    handle = opened(temporary, "xb")
+    try:
+        with handle:
+            yield handle
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
 def _write_csv(cfg: argparse.Namespace, header_pairs, columns, body) -> None:
-    """Write the header block and the column line, then each already formatted
-    ``body`` text (one or more lines) as it comes, to ``cfg.out`` or stdout."""
+    """Write the header block and the column line, then each ``body`` item
+    (the text of one or more lines, as str or as ASCII bytes) as it comes,
+    to ``cfg.out`` (see :func:`_output`) or stdout."""
     head = "".join(f"# {key} = {value}\n" for key, value in header_pairs)
-    with (open(cfg.out, "w", encoding="utf-8") if cfg.out
-          else contextlib.nullcontext(sys.stdout)) as handle:
-        handle.write(head + ",".join(columns) + "\n")
+    with _output(cfg.out) as handle:
+        handle.write((head + ",".join(columns) + "\n").encode())
         for text in body:
-            handle.write(text)
-            handle.write("\n")
+            handle.write(text.encode() if isinstance(text, str) else text)
+            handle.write(b"\n")
+            del text   # not held while the next one is formed
 
 
 # Rows of the solve CSV formatted at once: enough to spread numpy's per-call
 # cost over thousands of values, few enough that the formatting temporaries
 # stay below the solve's own peak memory.
 _SOLVE_CHUNK_ROWS = 4096
+# Chunks of windows pulled from the solve before they are formatted, so
+# that the two take turns once per burst, not once per delay interval:
+# turning every interval cost the `scalar-long` command about 6 ms (7 %)
+# of CPU time in cache misses, every 4 chunks about 2 ms.  A burst holds
+# at most 8 chunks of values, 260 KB, and one interval.
+_SOLVE_BURST_CHUNKS = 8
 
 
 def _digits(values, count: int) -> np.ndarray:
@@ -289,72 +356,102 @@ def _digits(values, count: int) -> np.ndarray:
     return np.where(shown, values // powers % 10 + ord("0"), 0).astype(np.uint8)
 
 
-def _solve_lines(trajectory):
-    """Yield the CSV text of the stored windows, about ``_SOLVE_CHUNK_ROWS``
-    rows (interval, node_index, time, component_index, value) at a time,
-    joined by newlines.
+def _in_bursts(blocks, windows: int):
+    """The (interval, times, states) ``blocks`` as they come, but each pulled
+    ahead until the blocks held have ``windows`` windows: a consumer that
+    formats them takes turns with the solve once per burst, not once per
+    interval, and each keeps more of its own arrays in the caches."""
+    burst, held = [], 0
+    for block in blocks:
+        burst.append(block)
+        held += len(block[1])
+        if held >= windows:
+            yield from burst
+            burst, held = [], 0
+    yield from burst
+
+
+def _solve_lines(grid, d: int, intervals: int, blocks):
+    """Yield the CSV bytes of the windows in ``blocks``, the (interval, times,
+    states) of one of ``intervals`` delay intervals each, as
+    :func:`solve_blocks` hands them on: about ``_SOLVE_CHUNK_ROWS`` rows
+    (interval, node_index, time, component_index, value) at a time, joined
+    by newlines.
 
     A chunk is laid out in one buffer of 8-byte words reused from chunk to
     chunk, two half-rows per row: the prefix "\\nk,j," and the time's
     :mod:`._g17` canvas, then ",c," and the value's canvas.  A prefix has
     a fixed field per number, its digits right-aligned: "j," and ",c," are
-    laid out once, "\\nk," per chunk from one word per interval.  Zero
-    bytes pad the fields and the canvases, and dropping them with one
-    ``translate`` per chunk leaves the text, byte for byte that of
-    ``%.17g``.
+    laid out once, "\\nk," once per interval.  Zero bytes pad the fields
+    and the canvases, and dropping them with one ``translate`` per chunk
+    leaves the text, byte for byte that of ``%.17g``.  Each chunk is a
+    memoryview of its own bytes.
     """
     from . import _g17 as g17   # its tables are built for solve output only
-    d = trajectory.d
-    theta = np.repeat(trajectory.grid.nodes_shifted, d)
+    theta = np.repeat(grid.nodes_shifted, d)
     size = len(theta)
-    intervals, times, states = (trajectory.intervals[1:], trajectory.times[1:],
-                                trajectory.states[1:])
     # digits of the largest k, j and c, and the 8-byte words that hold "\nk,j," and ",c,"
-    nk, nj, nc = (len(str(v)) for v in (intervals[-1], trajectory.grid.N, d - 1))
+    nk, nj, nc = (len(str(v)) for v in (intervals, grid.N, d - 1))
     width = -(-max(nk + nj + 3, nc + 2) // 8)
-    # the prefix fields: "\nk," of each interval k (row k), "j," and ",c,"
-    # of each row of a window
-    k_fields = np.zeros((intervals[-1] + 1, 8 * width), np.uint8)
-    k_fields[:, [0, nk + 1]] = [ord("\n"), ord(",")]
-    k_fields[:, 1:nk + 1] = _digits(np.arange(intervals[-1] + 1), nk)
+    # the prefix fields: "j," and ",c," of each row of a window
     j_fields = np.zeros((size, 8 * width), np.uint8)
     j_fields[:, nk + 2:nk + nj + 2] = _digits(np.arange(size) // d, nj)
     j_fields[:, nk + nj + 2] = ord(",")
     c_fields = np.zeros((size, 8 * width), np.uint8)
     c_fields[:, [0, nc + 1]] = ord(",")
     c_fields[:, 1:nc + 1] = _digits(np.arange(size) % d, nc)
-    k_words, j_words = k_fields.view(np.uint64), j_fields.view(np.uint64)
+    j_words = j_fields.view(np.uint64)
 
-    # the rows live in a bytearray, which translate reads in place
+    # the rows live in a bytearray, which translate reads in place; it is
+    # made once the solve's first burst is in, whose first interval (a C_k
+    # build, or a run's first chunks) is the solve's own peak
     windows = max(1, _SOLVE_CHUNK_ROWS // size)
+    bursts = _in_bursts(blocks, _SOLVE_BURST_CHUNKS * windows)
+    first = next(bursts)
     shape = (windows, size, 2, width + g17.WORDS)
     buffer = bytearray(8 * math.prod(shape))
     rows = np.frombuffer(buffer, np.uint64).reshape(shape)
     rows[:, :, 1, :width] = c_fields.view(np.uint64)
     canvases = rows.reshape(-1, width + g17.WORDS)[:, width:]
     values = np.empty((windows, size, 2))
-    formatter = g17.Formatter(values.size)
-    for start in range(0, len(times), windows):
-        chunk = slice(start, start + windows)
-        filled = len(times[chunk])
-        np.bitwise_or(j_words, k_words[intervals[chunk], None], out=rows[:filled, :, 0, :width])
-        np.add(times[chunk, None], theta, out=values[:filled, :, 0])
-        values[:filled, :, 1] = states[chunk]
+    formatter, filled = None, 0
+
+    def chunk():
+        nonlocal formatter
+        # made once the first chunk is full, as late as the buffer
+        formatter = formatter or g17.Formatter(values.size)
         formatter(values[:filled].reshape(-1), canvases[:2 * size * filled])
         rows[filled:] = 0   # past the rows of a short last chunk
-        lines = buffer.translate(None, b"\0")
-        yield str(memoryview(lines)[1:], "ascii")   # without the first "\n"
+        return memoryview(buffer.translate(None, b"\0"))[1:]   # without the first "\n"
+
+    for k, times, states in itertools.chain([first], bursts):
+        digits = str(k).encode()
+        k_words = np.frombuffer(b"\n" + bytes(nk - len(digits)) + digits + b","
+                                + bytes(8 * width - nk - 2), np.uint64)
+        start = 0
+        while start < len(times):
+            part = slice(start, start + windows - filled)
+            taken = len(times[part])
+            np.bitwise_or(j_words, k_words, out=rows[filled:filled + taken, :, 0, :width])
+            np.add(times[part, None], theta, out=values[filled:filled + taken, :, 0])
+            values[filled:filled + taken, :, 1] = states[part]
+            start, filled = start + taken, filled + taken
+            if filled == windows:
+                yield chunk()
+                filled = 0
+    if filled:
+        yield chunk()
 
 
 def cmd_solve(cfg: argparse.Namespace, bench) -> int:
     horizon = _resolve_horizon(cfg, bench.problem)
-    trajectory = solve(bench.problem, cfg.N, cfg.M, cfg.order, horizon,
-                       store_steps=cfg.store_steps)
+    grid, intervals, blocks = solve_blocks(bench.problem, cfg.N, cfg.M, cfg.order, horizon,
+                                           store_steps=cfg.store_steps)
     header = _header_pairs(cfg, extra=[("columns_per_interval",
                                         _fmt((cfg.N + 1) * bench.problem.d))])
     _write_csv(cfg, header,
                ["interval", "node_index", "time", "component_index", "value"],
-               _solve_lines(trajectory))
+               _solve_lines(grid, bench.problem.d, intervals, blocks))
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from .linalg import NumericalFailure, SliceError, eigenvalues
 # magnus_step_matrix is magnus_step and is not called here, but stays bound:
 # bench/tracer.py wraps dde.magnus_step_matrix and reports a missing name
-from .magnus_linear import LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix  # noqa: F401
+from .magnus_linear import (LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix,  # noqa: F401
+                            step_numbers)
 from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
                                nonlinear_magnus_step)
 from .spectral import ChebyshevGrid, interpolate_window
@@ -39,8 +40,14 @@ MAX_INTERVALS = 2 ** 20
 
 # Bytes the Taylor block of one stacked expm may take: a chunk of b linear
 # steps at system size n takes 9 n^2 8 b of them (the four powers and five
-# q_i of degree 18), so b = 66 at n = 21 and b = 1 from n = 121 on.
-CHUNK_BYTES = 2 ** 21
+# q_i of degree 18), so b = 33 at n = 21 and b = 1 from n = 86 on.
+CHUNK_BYTES = 2 ** 20
+
+# Most bytes one run may hold at once, as :func:`_check_memory` estimates
+# them before anything is allocated: N = 200000, M = 10^8 over a few
+# periods, or a Mathieu monodromy at N = 3000 fails with a ValueError, not
+# with a MemoryError part way through.
+MAX_BYTES = 2 ** 31
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -109,6 +116,11 @@ def _coefficient(M, d: int, name: str) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValueError(f"coefficient {name} returned non-finite entries")
     return M
+
+
+def _chunk_steps(n: int) -> int:
+    """Linear steps one stacked expm takes at system size n (see CHUNK_BYTES)."""
+    return max(1, CHUNK_BYTES // (9 * 8 * n * n))
 
 
 def admissible_orders(problem: DDEProblem):
@@ -230,9 +242,9 @@ class DiscretizedSystem:
             d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
             A = lambda y: DelayExponent(_coefficient(self.problem.A(y[-d:]), d, "A(x)"), eye, 1.0)
             return (lambda starts, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)[None]), 1
-        A, n = TopRows(self.top_rows, self._lower), self.big_dim
+        A = TopRows(self.top_rows, self._lower)
         return (lambda starts, h, y: magnus_step(A, starts, h, y, order),
-                max(1, CHUNK_BYTES // (9 * 8 * n * n)))
+                _chunk_steps(self.big_dim))
 
     def check_period(self, t: float, phase: float, at_phase: np.ndarray) -> None:
         """Raise ValueError unless A and B at t agree with ``at_phase``, their
@@ -365,12 +377,50 @@ def _check_finite(g: int, k: int, states: np.ndarray) -> None:
                                interval=g, step=k + j, partial=states[j])
 
 
+def _check_memory(problem: DDEProblem, N: int, M: int, plan, every_step: bool = False,
+                  stored: bool = False, width: int = 1) -> tuple:
+    """Raise ValueError when a run over ``plan`` would hold more than
+    :data:`MAX_BYTES`; return the number of windows it keeps, one per
+    interval or with ``every_step`` one per step, and of its intervals.
+
+    The estimate counts the 8-byte numbers a run holds at its peak from the
+    sizes alone: the differentiation matrix, its Kronecker product and the
+    constant lower rows; for a linear problem one chunk's
+    :func:`~.magnus_linear.step_numbers`, for a quasilinear one
+    :meth:`BlockTriangularExpmv.numbers`; the state, of
+    ``width`` columns of length n = d(N + 1) (n for a fundamental matrix);
+    one interval's kept windows; the C_k of every phase; and, when they are
+    ``stored`` (as :func:`solve` stores them), all the windows.
+    """
+    windows, intervals, phases, t_end = 0, 0, set(), None
+    for *_, t_end, n_steps, phase in plan:
+        windows += n_steps if every_step else 1
+        intervals += 1
+        phases.add(phase)
+    phases.discard(None)
+    d, n = problem.d, problem.d * (N + 1)
+    if isinstance(problem, LinearDDEProblem):
+        work = step_numbers(min(_chunk_steps(n), M), n, width)
+    else:
+        work = BlockTriangularExpmv.numbers(n, d)
+    numbers = (2 * (N + 1) ** 2 + 2 * n * n + work + 2 * n * width
+               + (M if every_step else 1) * n * width + len(phases) * M * n * n
+               + (windows * (n * width + 2) if stored else 0))
+    if 8 * numbers > MAX_BYTES:
+        horizon = f" and t_final = {t_end!r}" if stored else ""
+        raise ValueError(f"N = {N}, M = {M}{horizon} need about {8 * numbers / 2 ** 30:.3g} "
+                         f"GiB, more than the {MAX_BYTES / 2 ** 30:g} GiB a run may hold")
+    return windows, intervals
+
+
 def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
-               every_step: bool = False) -> np.ndarray:
+               every_step: bool = False) -> Iterator[tuple]:
     """Advance a vector or matrix state across the planned intervals.
 
-    Returns one array: the start state, then the state at each interval
-    end, or with ``every_step`` at each step end.  An interval without a
+    Yields, as each interval finishes, its position in the plan counting
+    from 1, the end times of its kept windows and their states: the
+    interval end, or with ``every_step`` each step end.  Nothing of an
+    interval is held once the next has finished.  An interval without a
     ``phase`` takes its steps in chunks (:meth:`DiscretizedSystem.stepper`):
     one call per chunk evaluates the coefficients of its steps in time
     order, exponentiates them in one stacked :func:`expm` and applies the
@@ -388,21 +438,18 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     non-finite state ``partial`` holds that state, for a rejected input the
     state the failing step starts from: a chunk applies none of its steps
     until all of its exponentials are formed, so a chunk that fails at one
-    of its steps is first retaken up to that step.
+    of its steps is first retaken up to that step.  numpy's overflow
+    warnings, which would only repeat such a failure, are silenced while an
+    interval steps, and only then: not while its windows are handed on.
     """
     step, chunk = system.stepper(order)
     cumulative = {}
-    out = np.empty((1 + sum(n if every_step else 1 for *_, n, _ in plan),) + state.shape)
-    out[0] = state
-    row = 1
-    # a non-finite state raises NumericalFailure; numpy's overflow warnings
-    # would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g, t0, length, _, n_steps, phase in plan:
-            h = length / n_steps
-            kept = out[row:row + (n_steps if every_step else 1)]
-            k = 0
-            try:
+    for position, (g, t0, length, t_end, n_steps, phase) in enumerate(plan, start=1):
+        h = length / n_steps
+        kept = np.empty((n_steps,) + state.shape) if every_step else None
+        k = 0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
                 if phase is None:
                     take = chunk
                     while k < n_steps:
@@ -425,20 +472,55 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                     if phase != t0:
                         system.check_period(t0, phase, at_phase)
                     if C is None:
-                        C = _propagate(system, order, np.eye(system.big_dim),
-                                       [(g, phase, length, None, n_steps, None)], True)[1:]
+                        [(_, _, C)] = _propagate(system, order, np.eye(system.big_dim),
+                                                 [(g, phase, length, None, n_steps, None)], True)
                         cumulative[phase] = at_phase, C
                     states = kept if every_step else np.empty((n_steps,) + state.shape)
                     np.matmul(C.reshape(-1, C.shape[-1]), state,
                               out=states.reshape((-1,) + state.shape[1:]))
                     _check_finite(g, 0, states)
                     state = states[-1]
-            except ValueError as exc:
-                raise NumericalFailure(f"{exc} in interval {g}, step {k}",
-                                       interval=g, step=k, partial=state) from exc
-            kept[-1] = state
-            row += len(kept)
-    return out
+        except ValueError as exc:
+            raise NumericalFailure(f"{exc} in interval {g}, step {k}",
+                                   interval=g, step=k, partial=state) from exc
+        if every_step:
+            yield position, t0 + np.arange(1, n_steps + 1) * h, kept
+        else:
+            # a copy: the state is a view of the interval's last chunk or
+            # product, which a consumer that keeps the block would keep too
+            yield position, np.array([t_end]), state[None].copy()
+
+
+def _prepared(problem: DDEProblem, N: int, M: int, t_final: float, store_steps: bool,
+              t_start: float, initial_state, stored: bool) -> tuple:
+    """Check the inputs of :func:`solve` and the memory its run needs (its
+    windows counted only if ``stored``); then the system, the start time and
+    state, the interval plan and the numbers of windows the run keeps and
+    of its intervals."""
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final!r}")
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start!r}")
+    tau = problem.tau
+    g0 = int(round(t_start / tau))
+    if abs(t_start - g0 * tau) > 1e-9 * tau or g0 < 0:
+        raise ValueError("t_start must be a nonnegative multiple of tau")
+    if initial_state is None and g0 != 0:
+        raise ValueError("resuming at t_start > 0 requires initial_state")
+    if t_final <= g0 * tau:
+        raise ValueError("t_final must lie beyond t_start")
+
+    def plan():
+        return _interval_plan(g0, t_final, tau, M, getattr(problem, "period", None))
+    windows, intervals = _check_memory(problem, N, M, plan(), store_steps, stored)
+    system = discretize(problem, N)
+    if initial_state is None:
+        state = system.phi_vector.copy()
+    else:
+        state = np.asarray(initial_state, dtype=float).copy()
+        if state.shape != (system.big_dim,):
+            raise ValueError(f"initial_state must have shape ({system.big_dim},)")
+    return system, g0 * tau, state, plan(), windows, intervals
 
 
 def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
@@ -456,39 +538,45 @@ def solve(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
     period once and applies them to every later full interval (see
     :func:`_interval_plan` and :func:`_propagate`).  The trajectory holds
     the window at each interval end, or with ``store_steps`` at each step
-    end (see :class:`Trajectory`).
+    end (see :class:`Trajectory`); :func:`solve_blocks` hands the same
+    windows on an interval at a time.
 
     ``t_start``/``initial_state`` resume an integration from a stored
     window at a multiple of tau; by default the run starts at 0 from the
-    sampled initial function.
+    sampled initial function.  A run whose memory estimate, its windows
+    included, exceeds :data:`MAX_BYTES` raises ValueError before it starts.
     """
-    if not math.isfinite(t_final):
-        raise ValueError(f"t_final must be finite, got {t_final!r}")
-    if not math.isfinite(t_start):
-        raise ValueError(f"t_start must be finite, got {t_start!r}")
-    system = discretize(problem, N)
-    tau = problem.tau
-    g0 = int(round(t_start / tau))
-    if abs(t_start - g0 * tau) > 1e-9 * tau or g0 < 0:
-        raise ValueError("t_start must be a nonnegative multiple of tau")
-    if initial_state is None:
-        if g0 != 0:
-            raise ValueError("resuming at t_start > 0 requires initial_state")
-        state = system.phi_vector.copy()
-    else:
-        state = np.asarray(initial_state, dtype=float).copy()
-        if state.shape != (system.big_dim,):
-            raise ValueError(f"initial_state must have shape ({system.big_dim},)")
-    if t_final <= g0 * tau:
-        raise ValueError("t_final must lie beyond t_start")
+    system, t0, state, plan, windows, _ = _prepared(problem, N, M, t_final, store_steps,
+                                                    t_start, initial_state, True)
+    times, states = np.empty(1 + windows), np.empty((1 + windows, system.big_dim))
+    intervals = np.zeros(1 + windows, dtype=int)
+    times[0], states[0], row = t0, state, 1
+    for position, ends, kept in _propagate(system, order, state, plan, store_steps):
+        rows = slice(row, row + len(kept))
+        times[rows], states[rows], intervals[rows] = ends, kept, position
+        row += len(kept)
+    return Trajectory(grid=system.grid, d=problem.d, times=times, states=states,
+                      intervals=intervals)
 
-    plan = list(_interval_plan(g0, t_final, tau, M, getattr(problem, "period", None)))
-    ends = [t0 + np.arange(1, n_steps + 1) * (length / n_steps) if store_steps else [t_end]
-            for _, t0, length, t_end, n_steps, _ in plan]
-    return Trajectory(grid=system.grid, d=problem.d, times=np.concatenate([[g0 * tau], *ends]),
-                      states=_propagate(system, order, state, plan, store_steps),
-                      intervals=np.repeat(np.arange(len(plan) + 1),
-                                          [1] + [len(t) for t in ends]))
+
+def solve_blocks(problem: DDEProblem, N: int, M: int, order: int, t_final: float, *,
+                 store_steps: bool = False) -> tuple:
+    """The grid of ``solve(problem, N, M, order, t_final, store_steps=...)``,
+    its number of delay intervals and an iterator over its windows after
+    the first, one interval at a time.
+
+    The iterator yields (interval, times, states) as each interval finishes:
+    its position counting from 1, as in :attr:`Trajectory.intervals`, and
+    the times and states of its windows, bit for bit those of the
+    trajectory; it holds none of an interval's windows once the next has
+    finished, so a run's memory does not grow with t_final.  The inputs and
+    the memory estimate, without the windows, are checked when called; a
+    numerical failure is raised from the iteration, once the intervals
+    before it have been yielded.
+    """
+    system, _, state, plan, _, intervals = _prepared(problem, N, M, t_final, store_steps,
+                                                     0.0, None, False)
+    return system.grid, intervals, _propagate(system, order, state, plan, store_steps)
 
 
 @dataclass
@@ -514,16 +602,20 @@ def monodromy(problem: LinearDDEProblem, N: int, M: int, order: int) -> Monodrom
     All d(N+1) columns are advanced together through the same interval
     plan and propagator as :func:`solve`, one interval at a time, so only
     the current matrix is held: interval boundaries align with multiples
-    of tau (and with the period itself when it is not a multiple).
+    of tau (and with the period itself when it is not a multiple).  A run
+    whose memory estimate exceeds :data:`MAX_BYTES` raises ValueError before
+    it starts.
     """
     if not isinstance(problem, LinearDDEProblem):
         raise ValueError("monodromy analysis needs a linear problem")
     if problem.period is None:
         raise ValueError("problem has no period set")
+    tau, period = problem.tau, problem.period
+    _check_memory(problem, N, M, _interval_plan(0, period, tau, M), width=problem.d * (N + 1))
     system = discretize(problem, N)
     Y = np.eye(system.big_dim)
-    for interval in _interval_plan(0, problem.period, problem.tau, M):
-        Y = _propagate(system, order, Y, [interval])[-1]
+    for *_, kept in _propagate(system, order, Y, _interval_plan(0, period, tau, M)):
+        Y = kept[-1]
     return MonodromyResult(monodromy=Y, multipliers=eigenvalues(Y))
 
 

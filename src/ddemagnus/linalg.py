@@ -243,6 +243,13 @@ def _validated_square(M, name: str) -> np.ndarray:
     return A
 
 
+def expm_numbers(b: int, n: int) -> int:
+    """8-byte numbers :func:`expm` of a (b, n, n) stack holds at its peak
+    beside its input: the degree-18 block of four powers and five q_i
+    (:func:`_scaled_taylor_exp`) and the result."""
+    return 10 * b * n * n
+
+
 def expm(M) -> np.ndarray:
     """Matrix exponential of a real square matrix, or of each matrix of a stack.
 

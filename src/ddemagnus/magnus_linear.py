@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import SliceError, commutator, expm
+from .linalg import SliceError, commutator, expm, expm_numbers
 
 LINEAR_ORDERS = (2, 4, 6)
 
@@ -146,16 +146,28 @@ def _omega(A: TopRows, starts, h: float, order: int) -> np.ndarray:
     w = (u @ alpha1) / 60.0
     # Omega = alpha1 + alpha3 / 12 + [Z, alpha2 + c2] / 240 with
     # Z = -20 alpha1 - alpha3 + c1 and alpha2 + c2 = U V + P (x2 + w)
-    Z = -20.0 * alpha1 + a1d @ x2
+    # in place where the order of the operands does not change a bit: one
+    # n x n temporary fewer each, at a chunk's peak
+    Z = a1d @ x2
+    Z -= 20.0 * alpha1
     Z[..., :d, :] -= x3 + g
     s = x2 + w
     VsZ = np.concatenate((V, s), axis=-2) @ Z
     VZ, sZ = VsZ[..., :2 * d, :], VsZ[..., 2 * d:, :]
-    out = (1.0 / 240.0) * (np.concatenate((Z @ U, Z[..., :d], U), axis=-1)
-                           @ np.concatenate((V, s, -VZ), axis=-2))
+    out = (np.concatenate((Z @ U, Z[..., :d], U), axis=-1)
+           @ np.concatenate((V, s, -VZ), axis=-2))
+    out *= 1.0 / 240.0
     out[..., :d, :] += x3 / 12.0 - sZ / 240.0
     out += alpha1
     return out
+
+
+def step_numbers(b: int, n: int, width: int) -> int:
+    """8-byte numbers one :func:`magnus_step` call over b steps holds at its
+    peak at system size n, for a state of ``width`` columns: the stacked
+    :func:`expm`'s, the exponents and at most five n x n temporaries of
+    :func:`_omega` per step, and the states."""
+    return expm_numbers(b, n) + b * n * (6 * n + width)
 
 
 def magnus_step(A, t, h: float, y, order: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 # commutator is not called here, but stays bound: bench/tracer.py wraps
 # magnus_nonlinear.commutator and reports a missing name as a broken target
-from .linalg import commutator, expm  # noqa: F401
+from .linalg import commutator, expm, expm_numbers  # noqa: F401
 
 NONLINEAR_ORDERS = (2, 3)
 
@@ -116,6 +116,15 @@ class BlockTriangularExpmv:
         self._l21 = lower[:, :d].copy()
         self._l22 = lower[:, d:].copy()
         self._tables = {}   # (c, m) -> see _table
+
+    @staticmethod
+    def numbers(n: int, d: int) -> int:
+        """8-byte numbers an instance for a system of size n holds at its
+        peak while it builds a table: the block matrix of size
+        (n - d) + K d, its :func:`expm` and the copied table, and the
+        squares and tables of a few (c, m) pairs."""
+        size = n + (_MAX_TERMS - 1) * d
+        return expm_numbers(1, size) + 2 * size * size + 4 * n * n
 
     def _table(self, c: float, m: int) -> tuple:
         """([e^{R/m}, e^{2R/m}, ..., e^R], [G_0 ... G_{K-1}] of R/m) for

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +17,6 @@ import ddemagnus
 from ddemagnus import ChebyshevGrid, NumericalFailure, cli
 from ddemagnus._g17 import WORDS, Formatter
 from ddemagnus.cli import _format_rows, _solve_lines, build_parser, main
-from ddemagnus.dde import Trajectory
 
 
 def run_cli(args, capsys):
@@ -277,11 +282,11 @@ def test_solve_rows_render_as_the_generic_formatter():
     states = np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [-0.0, float("nan"), float("inf"), 1e-300, -7.25, -1e-300],
                        [float("-inf"), 0.1, -2.5, 1e16, 5e-324, 1e-4]])
-    traj = Trajectory(grid=grid, d=2, times=np.array([0.0, -1.5, 12345.678]), states=states,
-                      intervals=np.arange(3))
-    rows = [(k, j, float(traj.times[k] + theta), c, float(states[k][2 * j + c]))
+    times = np.array([0.0, -1.5, 12345.678])
+    rows = [(k, j, float(times[k] + theta), c, float(states[k][2 * j + c]))
             for k in (1, 2) for j, theta in enumerate(grid.nodes_shifted) for c in range(2)]
-    assert_body_is_rows("\n".join(_solve_lines(traj)) + "\n", rows)
+    blocks = [(k, times[k:k + 1], states[k:k + 1]) for k in (1, 2)]
+    assert_body_is_rows(b"\n".join(_solve_lines(grid, 2, 2, blocks)).decode() + "\n", rows)
 
 
 @pytest.mark.parametrize("problem, argv", [
@@ -345,6 +350,154 @@ def test_failing_solve_writes_no_file(tmp_path, capsys):
                             "--out", str(out)], capsys)
     assert code == 1 and "numerical failure" in err
     assert not out.exists()
+
+
+# delta = -100 makes the Mathieu state overflow in interval 11; rows of 112
+# are 8 windows, so the intervals before it fill chunks and reach the file
+_FAILING_LATE = ["solve", "--problem", "mathieu", "--param", "delta=-100", "--N", "6",
+                 "--M", "8", "--t-final", "400", "--store-steps"]
+
+
+def test_a_solve_failing_after_its_first_rows_leaves_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SOLVE_CHUNK_ROWS", 112)
+    written, lines = [], cli._solve_lines
+
+    def recorded(*args):
+        for text in lines(*args):
+            yield text
+            written.append(sum(path.stat().st_size for path in tmp_path.iterdir()))
+    monkeypatch.setattr(cli, "_solve_lines", recorded)
+    out = tmp_path / "never.csv"
+    code, _, err = run_cli(_FAILING_LATE + ["--out", str(out)], capsys)
+    assert code == 1 and "interval 11" in err
+    assert written[-1] > 0   # the rows went to a file beside the output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupted_solve_leaves_no_file(tmp_path, monkeypatch):
+    lines = cli._solve_lines
+
+    def interrupted(*args):
+        for count, text in enumerate(lines(*args)):
+            if count == 3:
+                raise KeyboardInterrupt
+            yield text
+    monkeypatch.setattr(cli, "_solve_lines", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", "--problem", "example1", "--N", "20", "--M", "64", "--t-final", "31.4",
+              "--store-steps", "--out", str(tmp_path / "never.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_output_is_created_as_open_would_create_it(tmp_path, capsys):
+    argv = ["solve", "--problem", "example1", "--N", "4", "--M", "4", "--t-final", "3"]
+    mode = lambda path: stat.S_IMODE(path.stat().st_mode)   # noqa: E731
+    umask = os.umask(0o027)
+    try:
+        reference = tmp_path / "reference"
+        open(reference, "w").close()
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+        assert mode(out) == mode(reference) == 0o640
+        # a file that exists keeps its mode, and a link stays a link to it
+        out.chmod(0o604)
+        link = tmp_path / "link.csv"
+        link.symlink_to(out)
+        assert run_cli(argv + ["--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink() and mode(out) == 0o604
+    finally:
+        os.umask(umask)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "out.csv",
+                                                                 "reference"]
+
+
+@pytest.mark.parametrize("name, reason", [("missing/out.csv", "No such file or directory"),
+                                          ("", "Is a directory")])
+def test_an_output_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, name, reason):
+    out = tmp_path / name
+    code, stdout, err = run_cli(["solve", "--problem", "example1", "--N", "4", "--M", "4",
+                                 "--t-final", "3", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == [f"error: field 'out': cannot write {out}: {reason}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_the_user_may_not_write_is_kept(tmp_path, capsys, monkeypatch):
+    # a 0444 file is refused with exit 2 and kept as it was, as open(path,
+    # "w") refuses it; a user the mode does not bind (root) writes it, as
+    # open(path, "w") would, so there the refusal is taken from os.access
+    argv = ["solve", "--problem", "example1", "--N", "4", "--M", "4", "--t-final", "3"]
+    probe = tmp_path / "probe"
+    probe.touch(mode=0o444)
+    try:
+        open(probe, "w").close()
+    except PermissionError:
+        pass
+    else:
+        monkeypatch.setattr(os, "access", lambda path, mode: not (stat.S_IMODE(
+            os.stat(path).st_mode) == 0o444 and mode == os.W_OK))
+    probe.unlink()
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kept\n")
+    out.chmod(0o444)
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == [f"error: field 'out': cannot write {out}: Permission denied"]
+    assert out.read_bytes() == b"kept\n" and stat.S_IMODE(out.stat().st_mode) == 0o444
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_solve_writes_into_a_pipe_in_place(tmp_path, capsys):
+    argv = ["solve", "--problem", "mathieu", "--N", "6", "--M", "8", "--t-final", "30",
+            "--store-steps"]
+    out, fifo, read = tmp_path / "out.csv", tmp_path / "fifo", []
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code = run_cli(argv + ["--out", str(fifo)], capsys)[0]
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive() and code == 0
+    assert read == [out.read_bytes()] and stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+def test_solve_writes_the_same_text_to_a_text_stdout(tmp_path, capsys):
+    # a stdout without a binary buffer, such as an io.StringIO
+    argv = ["solve", "--problem", "mathieu", "--N", "6", "--M", "40", "--order", "4",
+            "--t-final", "20.0", "--store-steps"]
+    out = tmp_path / "steps.csv"
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0
+    assert text.getvalue().encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("store_steps, chunk_rows", [(["--store-steps"], 512), ([], 36)])
+def test_solve_memory_does_not_grow_with_the_horizon(tmp_path, monkeypatch, store_steps,
+                                                     chunk_rows):
+    # 16 and 256 periods of example1 (64 and 1024 delay intervals) at N = 8,
+    # M = 16, in chunks of 56 windows and bursts of 448 (28 intervals) with
+    # every step kept, of 4 windows and 32 intervals with one window per
+    # interval: the windows of a burst are written and dropped as it ends,
+    # so the peak is the C_k of the 4 phases, one burst and one chunk of rows
+    monkeypatch.setattr(cli, "_SOLVE_CHUNK_ROWS", chunk_rows)
+    peaks, sizes = [], []
+    for periods in (16, 256):
+        out = tmp_path / f"{periods}.csv"
+        argv = ["solve", "--problem", "example1", "--N", "8", "--M", "16", "--t-final",
+                repr(periods * 2 * math.pi), *store_steps, "--out", str(out)]
+        assert main(argv) == 0   # what a first call allocates once
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(out.stat().st_size)
+    assert 15 < sizes[1] / sizes[0] < 17
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 def test_convergence_of_an_unreused_solve(capsys):
@@ -836,6 +989,31 @@ def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
                 if not fine:
                     wrong.append(f"{' '.join(argv)}: exit {code}, stderr {err!r}")
     assert not wrong, "\n".join(wrong)
+
+
+# Runs whose memory estimate exceeds dde.MAX_BYTES, with the parameter their
+# message names; each fails before its grid is built, where it would end
+# in a MemoryError traceback
+_OVERSIZED_RUNS = [
+    (["solve", "--N", "200000", "--t-final", "1"], "N = 200000"),
+    (["solve", "--N", "20", "--M", "100000000", "--t-final", "100"], "M = 100000000"),
+    (["multipliers", "--problem", "mathieu", "--N", "3000", "--M", "2"], "N = 3000"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _OVERSIZED_RUNS)
+def test_a_run_too_large_for_memory_is_a_usage_error(tmp_path, capsys, argv, named):
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert "GiB, more than the 2 GiB a run may hold" in err
+    assert peak < 2 ** 24
 
 
 @pytest.mark.parametrize("command", ["multipliers"])

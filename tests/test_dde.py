@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from ddemagnus import (ChebyshevGrid, DiscretizedSystem, LinearDDEProblem,
                        NumericalFailure, OutOfRangeError, QuasilinearDDEProblem,
                        builtin_problem, dde, discretize, eigenvalues, expm, magnus_step,
                        monodromy, solve, stability_verdict)
-from ddemagnus.dde import MonodromyResult, Trajectory, _interval_plan
+from ddemagnus.dde import MonodromyResult, Trajectory, _interval_plan, solve_blocks
 from ddemagnus.magnus_linear import TopRows
 
 SQRT2 = np.sqrt(2.0)
@@ -277,7 +278,7 @@ def _step_loop(problem, N, M, order, t_final, state):
 # (CHUNK_BYTES, steps per chunk at N = 6): one chunk per interval of 16 steps,
 # or chunks of 5, which split 16 steps 5 + 5 + 5 + 1 and the 7 of the
 # trailing partial interval 5 + 2
-_CHUNKINGS = [(dde.CHUNK_BYTES, 148), (5 * 9 * 8 * 14 ** 2, 5)]
+_CHUNKINGS = [(dde.CHUNK_BYTES, 74), (5 * 9 * 8 * 14 ** 2, 5)]
 
 
 @pytest.mark.parametrize("chunk_bytes, chunk", _CHUNKINGS, ids=["whole", "uneven"])
@@ -300,10 +301,10 @@ def test_chunked_intervals_equal_the_step_loop(monkeypatch, order, chunk_bytes, 
 
 
 def test_a_wide_system_exponentiates_one_step_at_a_time():
-    # 9 n^2 doubles of Taylor block per step: a chunk holds 66 steps at
+    # 9 n^2 doubles of Taylor block per step: a chunk holds 33 steps at
     # n = 21 but one at n = 122, where a Mathieu interval of 14 steps would
     # stack 15 MB; its peak stays near the 1.07 MB of one 2-D block
-    assert discretize(builtin_problem("example1").problem, 20).stepper(6)[1] == 66
+    assert discretize(builtin_problem("example1").problem, 20).stepper(6)[1] == 33
     problem = builtin_problem("mathieu").problem
     assert discretize(problem, 60).stepper(6)[1] == 1
     solve(problem, 60, 14, 6, problem.tau)   # what a first call allocates once
@@ -570,6 +571,51 @@ def test_monodromy_memory_does_not_grow_with_the_interval_count():
             tracemalloc.stop()
         assert result.monodromy.shape == (n, n)
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_streamed_windows_are_those_of_the_trajectory():
+    # with and without stored steps, reused and stepped intervals and a
+    # trailing partial one, a matrix of windows per interval
+    problem = builtin_problem("example1").problem
+    for store_steps in (False, True):
+        traj = solve(problem, 8, 4, 6, 21.0, store_steps=store_steps)
+        grid, intervals, blocks = solve_blocks(problem, 8, 4, 6, 21.0, store_steps=store_steps)
+        blocks = list(blocks)
+        np.testing.assert_array_equal(grid.nodes_shifted, traj.grid.nodes_shifted)
+        assert [k for k, _, _ in blocks] == list(range(1, intervals + 1))
+        # a block holds its own windows, not the chunk or product they are part of
+        assert all(s.base is None for _, _, s in blocks)
+        for name, got in (("intervals", [np.full(len(t), k) for k, t, _ in blocks]),
+                          ("times", [t for _, t, _ in blocks]),
+                          ("states", [s for _, _, s in blocks])):
+            np.testing.assert_array_equal(np.concatenate(got), getattr(traj, name)[1:])
+
+
+def test_a_streamed_solve_leaves_the_numpy_error_state_alone():
+    # the overflow warnings are silenced while an interval steps, not while
+    # the consumer of its windows runs, nor by a stream given up half way
+    problem = builtin_problem("example1").problem
+    before = np.geterr()
+    for k, _, _ in solve_blocks(problem, 6, 4, 6, 20.0, store_steps=True)[2]:
+        assert np.geterr() == before, f"interval {k}"
+    blocks = solve_blocks(problem, 6, 4, 6, 20.0)[2]
+    next(blocks)
+    assert np.geterr() == before
+    del blocks
+    gc.collect()
+    assert np.geterr() == before
+
+
+def test_only_the_solve_api_counts_its_windows_against_the_memory_limit(monkeypatch):
+    # 637 intervals of up to 16 stored steps at n = 9 are 0.9 MB of windows,
+    # which solve() holds and solve_blocks hands on; the rest of the run
+    # needs 0.2 MB
+    monkeypatch.setattr(dde, "MAX_BYTES", 2 ** 19)
+    problem = builtin_problem("example1").problem
+    with pytest.raises(ValueError, match=r"N = 8, M = 16 and t_final = 1000\.0 need about"):
+        solve(problem, 8, 16, 6, 1000.0, store_steps=True)
+    blocks = solve_blocks(problem, 8, 16, 6, 1000.0, store_steps=True)[2]
+    assert sum(len(times) for _, times, _ in blocks) == 636 * 16 + 10
 
 
 def test_monodromy_requires_periodic_linear_problem():
