@@ -278,14 +278,14 @@ def _output(path):
     all the same, so other hard links keep the old contents and the owner
     becomes the user who runs it.  A path that is not a regular file, such
     as /dev/null or a pipe, is written in place.  A file that cannot be
-    opened, or an existing one that the user may not write, is a
-    ConfigError.
+    opened, an existing one that the user may not write, or a directory
+    in which the new file cannot be created, is a ConfigError.
     """
-    def opened(name, mode):
+    def opened(name, mode, failure):
         try:
             return open(name, mode)
         except OSError as exc:
-            raise ConfigError(f"field 'out': cannot write {path}: {exc.strerror}") from None
+            raise ConfigError(f"field 'out': {failure}: {exc.strerror}") from None
 
     if not path:
         sys.stdout.flush()
@@ -302,14 +302,15 @@ def _output(path):
     except OSError:   # a missing file, or a path that opening reports
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with opened(target, "wb") as handle:
+        with opened(target, "wb", f"cannot write {path}") as handle:
             yield handle
         return
     if mode is not None and not os.access(target, os.W_OK):
         raise ConfigError(f"field 'out': cannot write {path}: {os.strerror(errno.EACCES)}")
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    handle = opened(temporary, "xb")
+    handle = opened(temporary, "xb",
+                    f"cannot create a file in {directory}, the directory of {path}")
     try:
         with handle:
             yield handle
@@ -494,6 +495,10 @@ def fitted_order(values, errors, floor: float = 0.0):
 def cmd_convergence(cfg: argparse.Namespace, bench) -> int:
     if (cfg.m_list is None) == (cfg.n_list is None):
         raise ConfigError("fields 'M-list'/'N-list': give exactly one of them")
+    listed = cfg.m_list or cfg.n_list
+    if len(listed) < 2:
+        raise ConfigError(f"field '{'M' if cfg.m_list else 'N'}-list': fitting an order "
+                          f"needs at least two values, got {_fmt(listed)}")
     if cfg.periods is not None:
         if not isinstance(bench.problem, LinearDDEProblem):
             raise ConfigError("field 'periods': multiplier study needs a linear problem")

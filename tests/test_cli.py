@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import math
 import os
@@ -414,11 +415,15 @@ def test_the_output_is_created_as_open_would_create_it(tmp_path, capsys):
 @pytest.mark.parametrize("name, reason", [("missing/out.csv", "No such file or directory"),
                                           ("", "Is a directory")])
 def test_an_output_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, name, reason):
+    # a directory is opened itself; in a missing directory the new file
+    # that replaces the target cannot be created, so the message names it
     out = tmp_path / name
+    failure = (f"cannot write {out}" if out.is_dir() else
+               f"cannot create a file in {os.path.realpath(out.parent)}, the directory of {out}")
     code, stdout, err = run_cli(["solve", "--problem", "example1", "--N", "4", "--M", "4",
                                  "--t-final", "3", "--out", str(out)], capsys)
     assert code == 2 and stdout == ""
-    assert err.splitlines() == [f"error: field 'out': cannot write {out}: {reason}"]
+    assert err.splitlines() == [f"error: field 'out': {failure}: {reason}"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -445,6 +450,42 @@ def test_an_output_the_user_may_not_write_is_kept(tmp_path, capsys, monkeypatch)
     assert err.splitlines() == [f"error: field 'out': cannot write {out}: Permission denied"]
     assert out.read_bytes() == b"kept\n" and stat.S_IMODE(out.stat().st_mode) == 0o444
     assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_an_output_in_a_directory_the_user_may_not_write_names_it(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a writable file in a 0555 directory: the new file cannot be created
+    # beside it, so the refusal (exit 2) names the directory, and the file
+    # is kept; a user the mode does not bind (root) creates it, so there
+    # the refusal is stubbed where the new file is opened
+    argv = ["solve", "--problem", "example1", "--N", "4", "--M", "4", "--t-final", "3"]
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out.csv"
+    out.write_bytes(b"kept\n")
+    locked.chmod(0o555)
+    try:
+        try:
+            open(locked / "probe", "x").close()
+        except PermissionError:
+            pass
+        else:
+            (locked / "probe").unlink()
+
+            def refusing_open(name, mode="r", *args, **kwargs):
+                if "x" in mode and os.path.dirname(name) == os.path.realpath(locked):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+                return open(name, mode, *args, **kwargs)
+            monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    finally:
+        locked.chmod(0o755)
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == [f"error: field 'out': cannot create a file in "
+                                f"{os.path.realpath(locked)}, the directory of {out}: "
+                                f"Permission denied"]
+    assert out.read_bytes() == b"kept\n"
+    assert [path.name for path in locked.iterdir()] == ["out.csv"]
 
 
 def test_solve_writes_into_a_pipe_in_place(tmp_path, capsys):
@@ -763,6 +804,22 @@ def test_convergence_multiplier_study_over_several_periods(capsys):
             assert one / 10.0 <= err <= 10.0 * one
 
 
+@pytest.mark.parametrize("flag, single", [("--M-list", "--N"), ("--N-list", "--M")])
+def test_convergence_of_one_value_is_a_usage_error(tmp_path, capsys, monkeypatch, flag,
+                                                   single):
+    # one point fits no order: the study is refused before any solve, from
+    # the command line and from a config file alike
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solve ran"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag[2:]} = 4\n")
+    argv = ["convergence", "--problem", "example1", single, "6", "--t-final", "1"]
+    for given in ([flag, "4"], ["--config", str(config)]):
+        code, out, err = run_cli(argv + given, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: field '{flag[2:]}': fitting an order needs at least two "
+                       f"values, got 4\n")
+
+
 @pytest.mark.parametrize("value", ["1.5", "2.0000001"])
 def test_convergence_multiplier_study_needs_whole_periods(capsys, value):
     code, _, err = run_cli(["convergence", "--problem", "mathieu", "--N", "6",
@@ -934,6 +991,8 @@ def test_cli_version_and_help_exit():
 # spans more delay intervals than a run may take and fails before its plan
 # is built.
 _BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2.5", "1e-9", "1e300")
+# values bad for one flag only: a study of one M or one N fits no order
+_BAD_FOR = {"--M-list": ("4",), "--N-list": ("4",)}
 _BAD_FLAGS = ("--N", "--M", "--order", "--t-final", "--periods", "--stability-tol",
               "--slope-floor", "--M-list", "--N-list", "--param")
 # (command, flag) -> the values that are legitimate there and exit 0; every
@@ -972,7 +1031,7 @@ def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
     wrong = []
     for command in ("solve", "multipliers", "convergence", "audit"):
         for flag in _BAD_FLAGS:
-            for value in _BAD_VALUES:
+            for value in _BAD_VALUES + _BAD_FOR.get(flag, ()):
                 out = tmp_path / f"{command}{flag}={value}.csv"
                 argv = _bad_input_argv(command, flag, value, out)
                 try:

@@ -9,8 +9,8 @@ from ddemagnus import (MATHIEU_REFERENCE_MULTIPLIER, NumericalFailure, builtin_p
                        sort_spectrum)
 from ddemagnus.magnus_linear import TopRows, _omega
 
-# accuracy thresholds of the Taylor degrees 8, 12 and 18 (linalg._TAYLOR_THETA)
-THETA_8, THETA_12, THETA_18 = 4.991228871115323e-02, 2.996158913811580e-01, 1.090863719290036
+# accuracy threshold of the degree-18 Taylor polynomial (linalg._THETA_18)
+THETA_18 = 1.090863719290036
 
 
 def norm1(M):
@@ -36,12 +36,12 @@ def assert_matches_scipy(M, rtol=1e-12):
 
 
 def squarings_taken(M):
-    """The squaring count of expm at degree 18: the 1-norm rule's s, then
+    """The squaring count of expm: the 1-norm rule's s, then
     linalg._squarings on the powers of M / 2^s, formed as expm forms them."""
     norm = norm1(M)
-    s = max(0, int(np.ceil(np.log2(norm / THETA_18))))
-    if s == 0:
+    if norm <= THETA_18:
         return 0
+    s = int(np.ceil(np.log2(norm / THETA_18)))
     B = M * 0.5 ** s
     B2 = B @ B
     B3 = B @ B2
@@ -113,16 +113,16 @@ def test_expm_inverse_identity():
 
 
 @pytest.mark.parametrize("target_norm",
-                         [1e-9, 1e-5, 1e-3, 0.03, 0.2, 0.8, 5.0, 40.0, 300.0])
+                         [0.0, 1e-17, 1e-9, 1e-5, 1e-3, 0.03, 0.2, 0.8, 5.0, 40.0, 300.0])
 def test_expm_matches_pade_oracle(target_norm):
-    # scipy's expm is Pade-based: an independent route through every
-    # Taylor degree branch and the scaling loop
-    rng = np.random.default_rng(int(1000 * np.log10(target_norm) + 10_000))
-    M = rng.standard_normal((9, 9))
-    M *= target_norm / np.abs(M).sum(axis=0).max()
-    ours = expm(M)
-    ref = scipy.linalg.expm(M)
-    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+    # scipy's expm is Pade-based: an independent route through the
+    # polynomial alone and through the scaling loop.  Norms up to theta_18,
+    # which take no squaring, run at n = 2 and at the benchmark's n = 21 and
+    # 122 too (at n = 2 and norm 300 scipy's own error is 1.1e-12 against a
+    # long-double reference, where expm's is 1.3e-14).
+    seed = max(0, int(1000 * np.log10(target_norm) + 10_000)) if target_norm else 0
+    for n in (9, 2, 21, 122) if target_norm <= THETA_18 else (9,):
+        assert_matches_scipy(scaled_random(n, target_norm, seed))
 
 
 def test_expm_large_norm_contract_bound():
@@ -230,17 +230,11 @@ def test_power_norm_bound_holds_for_every_later_power(M):
             assert np.log2(norm1(np.linalg.matrix_power(M, k))) / k <= log_alpha + 1e-12
 
 
-def test_expm_degree_12_at_workload_size():
-    M = scaled_random(122, 0.9 * THETA_12, 12)
-    assert THETA_8 < np.abs(M).sum(axis=0).max() <= THETA_12
-    assert_matches_scipy(M)
-
-
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_expm_degree_18_squaring_counts(s):
-    # norms in (2^(s-1), 2^s] * theta_18 (above theta_12 for s = 0)
+    # norms in (2^(s-1), 2^s] * theta_18
     M = equal_column_sums(122, 0.75 * 2.0 ** s * THETA_18, 100 + s)
-    assert norm1(M) > THETA_12 and squarings_taken(M) == s
+    assert squarings_taken(M) == s
     assert_matches_scipy(M)
 
 
@@ -376,9 +370,10 @@ def test_numerical_failure_carries_context():
 
 
 def _mixed_stack(n, count):
-    """``count`` n x n inputs that cycle through the zero matrix, every Taylor
-    degree, 0 to 5 squarings at degree 18, a nilpotent input and one at the
-    170-drop cap, in an order that mixes them in any stretch of a few."""
+    """``count`` n x n inputs that cycle through the zero matrix, 1-norms from
+    1e-17 to 0.8 that take the polynomial alone, 0 to 5 squarings, a
+    nilpotent input and one at the 170-drop cap, in an order that mixes
+    them in any stretch of a few."""
     kinds = [0.0, 1e-17, 1e-9, 1e-4, 0.03, 0.2, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6,
              "nilpotent", "cap"]
     stack = np.empty((count, n, n))
@@ -397,16 +392,15 @@ def _mixed_stack(n, count):
 @pytest.mark.parametrize("n", [2, 21, 122])
 @pytest.mark.parametrize("count", [1, 7, 66])
 def test_stacked_expm_equals_expm_of_each_slice(n, count):
-    # each slice takes its own degree, squaring count and table, so a stack
-    # changes no bit of any exponential
+    # each slice takes its own squaring count and table, so a stack changes
+    # no bit of any exponential
     stack = _mixed_stack(n, count)
     got = expm(stack)
     assert got.shape == stack.shape and got.flags.c_contiguous and got.flags.owndata
     for i in range(count):
         np.testing.assert_array_equal(got[i], expm(stack[i]))
     if count == 66:
-        scaled = [M for M in stack if norm1(M) > THETA_12]
-        assert {squarings_taken(M) for M in scaled} == {0, 1, 2, 3, 4, 5, 30}
+        assert {squarings_taken(M) for M in stack} == {0, 1, 2, 3, 4, 5, 30}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
