@@ -25,7 +25,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,37 +214,13 @@ def _validate_common(cfg: argparse.Namespace) -> None:
         raise ConfigError("field 'M': must be >= 1")
 
 
-def _stretched(problem, periods: float, whole: bool = False):
-    """``problem`` with its period stretched to ``periods`` periods, a whole
-    number of them if ``whole``: only then is the fundamental matrix at the
-    horizon a monodromy matrix, whose eigenvalues are multipliers."""
-    if not 0 < periods < math.inf:
-        raise ConfigError("field 'periods': must be positive and finite")
-    period = getattr(problem, "period", None)
-    if period is None:
-        raise ConfigError("field 'periods': problem has no period")
-    if not math.isfinite(periods * period):
-        raise ConfigError("field 'periods': horizon periods * period overflows")
-    if whole and periods != round(periods):
-        raise ConfigError("field 'periods': multipliers need a whole number of periods")
-    return replace(problem, period=periods * period)
-
-
-def _resolve_horizon(cfg: argparse.Namespace, problem) -> float:
-    """Enforce 'exactly one of t_final / periods' and return the horizon; a
-    command that takes no --periods needs t_final."""
-    periods = getattr(cfg, "periods", None)
-    if cfg.t_final is not None and periods is not None:
-        raise ConfigError("fields 't_final'/'periods': give exactly one of them")
-    if cfg.t_final is not None:
-        if not 0 < cfg.t_final < math.inf:
-            raise ConfigError("field 't_final': must be positive and finite")
-        return cfg.t_final
-    if periods is not None:
-        return _stretched(problem, periods).period
-    if not hasattr(cfg, "periods"):
+def _horizon(cfg: argparse.Namespace) -> float:
+    """The horizon --t-final, which must be given, positive and finite."""
+    if cfg.t_final is None:
         raise ConfigError("field 't_final': required")
-    raise ConfigError("fields 't_final'/'periods': one of them is required")
+    if not 0 < cfg.t_final < math.inf:
+        raise ConfigError("field 't_final': must be positive and finite")
+    return cfg.t_final
 
 
 def _header_pairs(cfg: argparse.Namespace, extra=()):
@@ -445,7 +420,7 @@ def _solve_lines(grid, d: int, intervals: int, blocks):
 
 
 def cmd_solve(cfg: argparse.Namespace, bench) -> int:
-    horizon = _resolve_horizon(cfg, bench.problem)
+    horizon = _horizon(cfg)
     grid, intervals, blocks = solve_blocks(bench.problem, cfg.N, cfg.M, cfg.order, horizon,
                                            store_steps=cfg.store_steps)
     header = _header_pairs(cfg, extra=[("columns_per_interval",
@@ -499,31 +474,27 @@ def cmd_convergence(cfg: argparse.Namespace, bench) -> int:
     if len(listed) < 2:
         raise ConfigError(f"field '{'M' if cfg.m_list else 'N'}-list': fitting an order "
                           f"needs at least two values, got {_fmt(listed)}")
-    if cfg.periods is not None:
+    if cfg.t_final is None:
+        # without a horizon the study is of the multipliers of one period
         if not isinstance(bench.problem, LinearDDEProblem):
-            raise ConfigError("field 'periods': multiplier study needs a linear problem")
+            raise ConfigError("field 'problem': a multiplier study (no --t-final) "
+                              "needs a linear problem")
         if bench.reference_multiplier is None:
             raise ConfigError("field 'problem': no reference multiplier available")
-        metric, problem = "multiplier", _stretched(bench.problem, cfg.periods, whole=True)
-        # over p periods the multipliers are those of one period to the power p
-        try:
-            reference = bench.reference_multiplier ** round(cfg.periods)
-        except OverflowError:
-            raise ConfigError("field 'periods': the reference multiplier to the power "
-                              "periods overflows") from None
+        metric, reference = "multiplier", bench.reference_multiplier
 
         def error(N, M):
             # track the dominant multiplier against the reference; at coarse M
             # some other branch can sit accidentally closer to the reference,
             # which would hide the scheme's convergence order.  `dominant` is
             # one member of a complex pair, so it is compared with both.
-            mu = monodromy(problem, N, M, cfg.order).dominant
+            mu = monodromy(bench.problem, N, M, cfg.order).dominant
             return float(min(abs(mu - reference), abs(mu - reference.conjugate())))
     else:
         if bench.exact is None:
             raise ConfigError("field 'problem': no exact solution available; "
-                              "use --periods with a reference multiplier instead")
-        metric, horizon = "solution", _resolve_horizon(cfg, bench.problem)
+                              "leave out --t-final for a multiplier study")
+        metric, horizon = "solution", _horizon(cfg)
 
         def error(N, M):
             trajectory = solve(bench.problem, N, M, cfg.order, horizon)
@@ -557,7 +528,7 @@ def cmd_audit(cfg: argparse.Namespace, bench) -> int:
     if bench.conserved_total is None:
         raise ConfigError("field 'problem': conservation audit needs a "
                           "population-conserving model (e.g. sir)")
-    horizon = _resolve_horizon(cfg, bench.problem)
+    horizon = _horizon(cfg)
     trajectory = solve(bench.problem, cfg.N, cfg.M, cfg.order, horizon)
     total = bench.conserved_total
     d = trajectory.d
@@ -581,8 +552,7 @@ _OPTIONS = {
     "--N": dict(type=int, help="collocation intervals (N+1 nodes)"),
     "--M": dict(type=int, help="Magnus steps per delay interval"),
     "--order": dict(type=int, help="integrator order: 2/4/6 linear, 2/3 quasilinear"),
-    "--t-final": dict(type=float, help="integration horizon (exclusive with --periods)"),
-    "--periods": dict(type=float, help="horizon as a multiple of the problem period"),
+    "--t-final": dict(type=float, help="integration horizon"),
     "--param": dict(action="append", metavar="KEY=VALUE",
                     help="problem parameter override (repeatable)"),
     "--out": dict(help="output CSV path (default: stdout)"),
@@ -602,11 +572,11 @@ _SHARED = ("--problem", "--N", "--M", "--order", "--param", "--out", "--config")
 # then these.
 _COMMANDS = {
     "solve": (cmd_solve, "integrate and dump node values",
-              ("--t-final", "--periods", "--store-steps")),
+              ("--t-final", "--store-steps")),
     "multipliers": (cmd_multipliers, "characteristic multipliers and stability verdict",
                     ("--stability-tol",)),
     "convergence": (cmd_convergence, "error table against M or N",
-                    ("--t-final", "--periods", "--M-list", "--N-list", "--slope-floor")),
+                    ("--t-final", "--M-list", "--N-list", "--slope-floor")),
     "audit": (cmd_audit, "per-interval conservation and positivity report", ("--t-final",)),
 }
 

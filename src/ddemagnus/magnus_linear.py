@@ -21,7 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import SliceError, commutator, expm, expm_numbers
+# commutator is not called here, but stays bound: bench/tracer.py wraps
+# magnus_linear.commutator and reports a missing name as a broken target
+from .linalg import SliceError, commutator, expm, expm_numbers  # noqa: F401
 
 LINEAR_ORDERS = (2, 4, 6)
 
@@ -39,7 +41,7 @@ class TopRows:
     sequence of times to the stacked (d, n) rows R(t), shape (len, d, n),
     and raises :class:`SliceError` with the position of a time whose rows
     it rejects; ``lower`` is the constant (n - d, n) block of L, used by
-    reference; None means d = n.
+    reference; None means d = n, an empty lower block.
     """
 
     def __init__(self, top, lower=None):
@@ -56,24 +58,6 @@ def _eval_matrices(A, times) -> np.ndarray:
             raise SliceError("matrix evaluator must return a square matrix of one size", i)
         rows.append(M)
     return np.array(rows)
-
-
-def _dense_omega(rows, h: float, order: int) -> np.ndarray:
-    """The exponent of :func:`_omega` from full matrices at the Gauss points,
-    with dense commutators."""
-    if order == 2:
-        return h * rows[0]
-    if order == 4:
-        r1, r2 = rows
-        return 0.5 * h * (r1 + r2) - (h * h * _SQRT3 / 12.0) * commutator(r1, r2)
-    r1, r2, r3 = rows
-    alpha1 = h * r2
-    alpha2 = (_SQRT15 * h / 3.0) * (r3 - r1)
-    alpha3 = (10.0 * h / 3.0) * (r3 - 2.0 * r2 + r1)
-    c1 = commutator(alpha1, alpha2)
-    c2 = (-1.0 / 60.0) * commutator(alpha1, 2.0 * alpha3 + c1)
-    return (alpha1 + alpha3 / 12.0
-            + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
 
 
 def _gauss_rows(A: TopRows, starts, h: float, order: int) -> np.ndarray:
@@ -98,9 +82,8 @@ def _omega(A: TopRows, starts, h: float, order: int) -> np.ndarray:
     differences (order 4's a2 - a1, order 6's alpha2 = P x2 and alpha3 =
     P x3) live in the top d rows, so each commutator is taken in factored
     form, [Y, P X] = Y[:, :d] X - P (X Y) and [Y, U V] = (Y U) V - U (V Y),
-    at O(d n^2) instead of O(n^3).  Without a lower block (d = n) the
-    factors are wider than the matrices, so the commutators are taken
-    dense.
+    at O(d n^2) instead of O(n^3).  Without a lower block (d = n) the same
+    formulas run over an empty one.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"step size h must be positive and finite, got {h!r}")
@@ -108,8 +91,6 @@ def _omega(A: TopRows, starts, h: float, order: int) -> np.ndarray:
         raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
     rows = _gauss_rows(A, starts, h, order)
     points = [rows[:, i] for i in range(len(_NODES[order]))]
-    if A.lower is None:
-        return _dense_omega(points, h, order)
     d, n = rows.shape[-2:]
 
     def stacked(top, lower):
@@ -119,7 +100,8 @@ def _omega(A: TopRows, starts, h: float, order: int) -> np.ndarray:
         out[..., d:, :] = lower
         return out
 
-    lower, h_lower = A.lower, h * A.lower
+    lower = np.empty((0, n)) if A.lower is None else A.lower
+    h_lower = h * lower
     if order == 2:
         return stacked(h * points[0], h_lower)
     if order == 4:

@@ -90,6 +90,9 @@ def example2_delayed_mathieu(delta: float = 1.5, epsilon: float = 0.5,
     reference multiplier is attached for the two canonical parameter
     sets.
     """
+    if not all(map(math.isfinite, (delta, epsilon, b))):
+        raise ValueError(f"delta, epsilon and b must be finite, got {delta!r}, {epsilon!r}, "
+                         f"{b!r}")
     tau = period = 2.0 * math.pi
 
     def coeff_a(t):
@@ -163,8 +166,10 @@ def example4_delayed_sir(alpha: float = 0.0, beta: float = 1.0,
     S and R are held constant on [-tau, 0] since only the delayed I
     enters the dynamics.
     """
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("beta and gamma must be positive")
+    if not (0 < beta < math.inf and 0 < gamma < math.inf):
+        raise ValueError(f"beta and gamma must be positive and finite, got {beta!r}, {gamma!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if not all(map(math.isfinite, (s0, i0, r0))):
         raise ValueError(f"s0, i0 and r0 must be finite, got {s0!r}, {i0!r}, {r0!r}")
     if alpha not in (0.0, 1.0):

@@ -78,20 +78,35 @@ def test_solve_rejects_invalid_order(capsys):
     assert "2, 3" in err
 
 
-def test_solve_requires_exactly_one_horizon(capsys):
-    code, _, err = run_cli(["solve", "--problem", "example1"], capsys)
-    assert code == 2 and "t_final" in err
-    code, _, err = run_cli(["solve", "--problem", "example1", "--t-final", "1",
-                            "--periods", "1"], capsys)
-    assert code == 2
+@pytest.mark.parametrize("command, problem", [("solve", "example1"), ("audit", "sir")])
+def test_a_run_over_a_horizon_requires_t_final(capsys, command, problem):
+    code, out, err = run_cli([command, "--problem", problem], capsys)
+    assert code == 2 and out == "" and err == "error: field 't_final': required\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "multipliers", "convergence", "audit"])
+def test_periods_is_no_option(tmp_path, capsys, command):
+    # p periods are the horizon --t-final p T, and the multipliers over p
+    # periods those of one period to the power p: no command takes
+    # --periods, from the command line or from a config file
+    with pytest.raises(SystemExit) as info:
+        main([command, "--periods", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --periods" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("periods = 1\n")
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: field 'periods': unknown configuration key\n"
 
 
 @pytest.mark.parametrize("argv, field", [
     (["solve", "--problem", "example1", "--t-final", "nan"], "t_final"),
     (["solve", "--problem", "example1", "--t-final", "inf"], "t_final"),
-    (["solve", "--problem", "example1", "--periods", "inf"], "periods"),
-    (["solve", "--problem", "example1", "--periods", "nan"], "periods"),
-    (["solve", "--problem", "example1", "--periods", "1e308"], "periods"),
+    (["solve", "--problem", "example1", "--t-final=-inf"], "t_final"),
+    (["audit", "--problem", "sir", "--t-final", "inf"], "t_final"),
+    (["convergence", "--problem", "example1", "--M-list", "4,8", "--t-final", "nan"],
+     "t_final"),
     (["audit", "--problem", "sir", "--t-final", "nan"], "t_final"),
     (["convergence", "--problem", "example1", "--M-list", "4,8", "--t-final", "inf"],
      "t_final"),
@@ -116,44 +131,25 @@ def test_multipliers_rejects_nonfinite_periods(capsys, value):
     assert "unrecognized arguments: --periods" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", BAD_PERIODS)
-def test_convergence_rejects_bad_periods(capsys, value):
-    code, _, err = run_cli(["convergence", "--problem", "example1", "--N", "4",
-                            "--M-list", "2,4", "--periods", value], capsys)
-    assert code == 2 and "field 'periods'" in err
-
-
-@pytest.mark.parametrize("value", ["1e6", "1e300"])
-def test_convergence_rejects_periods_whose_reference_power_overflows(capsys, monkeypatch,
-                                                                     value):
-    # mathieu's reference multiplier has modulus 1.44; example1's is 1
-    monkeypatch.setattr(cli, "monodromy", lambda *args: pytest.fail("monodromy ran"))
-    code, out, err = run_cli(["convergence", "--problem", "mathieu", "--N", "4",
-                              "--M-list", "2,4", "--periods", value], capsys)
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: field 'periods'")
-
-
 @pytest.mark.parametrize("flag", ["--M-list", "--N-list"])
 @pytest.mark.parametrize("value", ["0,4", "x", "", "4,4", "4,8,4"])
 def test_bad_integer_list_is_a_usage_error(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as info:
-        main(["convergence", "--problem", "example1", "--periods", "1", flag, value])
+        main(["convergence", "--problem", "example1", flag, value])
     assert info.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     config = tmp_path / "run.cfg"
     key = flag[2:].lower().replace("-", "_")
     config.write_text(f"{key} = {value}\n")
-    code, _, err = run_cli(["convergence", "--problem", "example1", "--periods", "1",
-                            "--config", str(config)], capsys)
+    code, _, err = run_cli(["convergence", "--problem", "example1", "--config", str(config)],
+                           capsys)
     assert code == 2 and f"field '{key}': cannot parse" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_nonfinite_slope_floor_is_a_usage_error(capsys, value):
     code, out, err = run_cli(["convergence", "--problem", "example1", "--N", "4",
-                              "--periods", "1", "--M-list", "2,4",
-                              f"--slope-floor={value}"], capsys)
+                              "--M-list", "2,4", f"--slope-floor={value}"], capsys)
     assert code == 2 and "field 'slope_floor'" in err
     assert out == ""
 
@@ -587,7 +583,7 @@ def test_csv_output_is_deterministic(capsys):
 
 def test_convergence_multiplier_metric(capsys):
     code, out_text, _ = run_cli(["convergence", "--problem", "example1",
-                                 "--N", "10", "--order", "2", "--periods", "1",
+                                 "--N", "10", "--order", "2",
                                  "--M-list", "4,8,16"], capsys)
     assert code == 0
     header, columns, rows = parse_csv(out_text)
@@ -599,7 +595,7 @@ def test_convergence_multiplier_metric(capsys):
 
 def test_convergence_order4_multiplier_slope(capsys):
     code, out_text, _ = run_cli(["convergence", "--problem", "example1",
-                                 "--N", "20", "--order", "4", "--periods", "1",
+                                 "--N", "20", "--order", "4",
                                  "--M-list", "4,8,16,32"], capsys)
     assert code == 0
     header, _, _ = parse_csv(out_text)
@@ -620,17 +616,25 @@ def test_convergence_solution_metric_rejects_jobs(capsys):
     assert 1.5 <= float(header["fitted_order"]) <= 2.5
 
 
+def test_convergence_takes_its_metric_from_the_horizon(capsys):
+    # without --t-final the study is of the multipliers of one period
+    argv = ["convergence", "--problem", "example1", "--N", "6", "--M-list", "2,4"]
+    for horizon, metric in (([], "multiplier"), (["--t-final", "1"], "solution")):
+        code, out, _ = run_cli(argv + horizon, capsys)
+        assert code == 0 and parse_csv(out)[0]["metric"] == metric
+
+
 def test_convergence_requires_reference(capsys):
     code, _, err = run_cli(["convergence", "--problem", "mathieu", "--N", "6",
                             "--t-final", "6.2832", "--M-list", "2,4"], capsys)
-    assert code == 2 and "exact solution" in err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: field 'problem': no exact solution available")
     code, _, err = run_cli(["convergence", "--problem", "example1", "--N", "6",
                             "--t-final", "1"], capsys)
     assert code == 2 and "M-list" in err
     # non-canonical parameters carry no reference multiplier
     code, _, err = run_cli(["convergence", "--problem", "mathieu",
-                            "--param", "b=0.3", "--N", "6", "--periods", "1",
-                            "--M-list", "2,4"], capsys)
+                            "--param", "b=0.3", "--N", "6", "--M-list", "2,4"], capsys)
     assert code == 2 and "reference multiplier" in err
 
 
@@ -673,21 +677,21 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
 _RUNS = {
     "solve": {"problem": "example1", "N": "4", "M": "8", "t_final": "1"},
     "multipliers": {"problem": "example1", "N": "4", "M": "4"},
-    "convergence": {"problem": "example1", "N": "4", "periods": "1", "m_list": "2,4,8"},
+    "convergence": {"problem": "example1", "N": "4", "m_list": "2,4,8"},
     "audit": {"problem": "sir", "N": "4", "M": "4", "t_final": "2"},
 }
 _VALUES = {
     "problem": "mathieu", ("audit", "problem"): "sir", "N": "5", "M": "3", "order": "2",
-    "t_final": "1.5", "periods": "2", "store_steps": None, "stability_tol": "0.5",
+    "t_final": "1.5", "store_steps": None, "stability_tol": "0.5",
     "m_list": "2,4", "n_list": "4,6",
     # drops the M = 8 point (error 0.01926) from the fit, keeps M = 2 and 4
     "slope_floor": "0.0193",
 }
-_EXCLUSIVE = ({"t_final", "periods"}, {"m_list", "n_list"}, {"n_list", "N"})
+_EXCLUSIVE = ({"m_list", "n_list"}, {"n_list", "N"})
 # the study over --M-list reads no M: setting it is a usage error
 _FAILS = {("convergence", "M"): "field 'M': M-list replaces it"}
 _SOLVE = ["solve", "--N", "4", "--M", "8", "--t-final", "1"]
-_STUDY = ["convergence", "--N", "4", "--periods", "1"]
+_STUDY = ["convergence", "--N", "4"]
 
 
 @pytest.mark.parametrize("key", sorted({key for options in build_parser()[1].values()
@@ -769,7 +773,7 @@ def test_config_key_spellings_stay_case_sensitive(tmp_path, capsys, written):
 def test_convergence_list_replaces_its_single_value(capsys, key):
     # the study takes every M (or N) from the list: the single value is not
     # echoed, and setting it is a usage error
-    argv = ["convergence", "--problem", "example1", "--periods", "1", f"--{key}-list", "2,4"]
+    argv = ["convergence", "--problem", "example1", f"--{key}-list", "2,4"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and key not in parse_csv(out)[0]
     code, out, err = run_cli(argv + [f"--{key}", "3"], capsys)
@@ -787,23 +791,6 @@ def test_convergence_header_echoes_slope_floor(capsys):
             == {k: v for k, v in floored.items() if k not in ("slope_floor", "fitted_order")})
 
 
-def test_convergence_multiplier_study_over_several_periods(capsys):
-    # over p periods the reference is r^p (or its conjugate): the errors keep
-    # the size and the order of the one-period study
-    errors = {}
-    for periods in ("1", "2", "3"):
-        code, out_text, _ = run_cli(["convergence", "--problem", "mathieu", "--N", "20",
-                                     "--periods", periods, "--M-list", "16,32"], capsys)
-        assert code == 0
-        header, _, rows = parse_csv(out_text)
-        errors[periods] = [float(row[1]) for row in rows]
-        assert errors[periods][1] < errors[periods][0]
-        assert 5.0 <= float(header["fitted_order"]) <= 7.0
-    for periods in ("2", "3"):
-        for err, one in zip(errors[periods], errors["1"]):
-            assert one / 10.0 <= err <= 10.0 * one
-
-
 @pytest.mark.parametrize("flag, single", [("--M-list", "--N"), ("--N-list", "--M")])
 def test_convergence_of_one_value_is_a_usage_error(tmp_path, capsys, monkeypatch, flag,
                                                    single):
@@ -818,13 +805,6 @@ def test_convergence_of_one_value_is_a_usage_error(tmp_path, capsys, monkeypatch
         assert code == 2 and out == ""
         assert err == (f"error: field '{flag[2:]}': fitting an order needs at least two "
                        f"values, got 4\n")
-
-
-@pytest.mark.parametrize("value", ["1.5", "2.0000001"])
-def test_convergence_multiplier_study_needs_whole_periods(capsys, value):
-    code, _, err = run_cli(["convergence", "--problem", "mathieu", "--N", "6",
-                            "--periods", value, "--M-list", "2,4"], capsys)
-    assert code == 2 and "field 'periods'" in err and "whole number" in err
 
 
 def test_config_skips_blank_and_comment_lines_and_reads_false_words(tmp_path, capsys):
@@ -859,9 +839,10 @@ def test_string_parameter_reaches_the_model_and_the_header(capsys):
 
 
 def test_multiplier_study_of_a_quasilinear_problem_is_a_usage_error(capsys):
-    code, _, err = run_cli(["convergence", "--problem", "sir", "--N", "4",
-                            "--periods", "1", "--M-list", "2,4"], capsys)
-    assert code == 2 and "field 'periods': multiplier study needs a linear problem" in err
+    code, out, err = run_cli(["convergence", "--problem", "sir", "--N", "4",
+                              "--M-list", "2,4"], capsys)
+    assert code == 2 and out == "" and err == (
+        "error: field 'problem': a multiplier study (no --t-final) needs a linear problem\n")
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -940,8 +921,12 @@ def test_overflowing_exponential_prints_only_the_failure():
 
 
 @pytest.mark.parametrize("argv", [
-    ["multipliers", "--problem", "mathieu", "--param", "epsilon=nan"],
-    ["solve", "--problem", "sir", "--t-final", "2", "--param", "beta=inf"],
+    # finite parameters whose coefficients overflow: delta + epsilon cos t,
+    # and beta times a delayed I of 2
+    ["multipliers", "--problem", "mathieu", "--param", "delta=1e308",
+     "--param", "epsilon=1e308"],
+    ["solve", "--problem", "sir", "--t-final", "2", "--param", "beta=1e308",
+     "--param", "i0=2"],
 ])
 def test_nonfinite_coefficient_is_a_numerical_failure(argv):
     src = str(Path(ddemagnus.__file__).resolve().parents[1])
@@ -991,9 +976,14 @@ def test_cli_version_and_help_exit():
 # spans more delay intervals than a run may take and fails before its plan
 # is built.
 _BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2.5", "1e-9", "1e300")
-# values bad for one flag only: a study of one M or one N fits no order
-_BAD_FOR = {"--M-list": ("4",), "--N-list": ("4",)}
-_BAD_FLAGS = ("--N", "--M", "--order", "--t-final", "--periods", "--stability-tol",
+# model parameters outside their problem's domain, each with its problem:
+# a usage error (exit 2) of every command, with one line naming the field
+_BAD_PARAMS = {"b=nan": "mathieu", "delta=inf": "mathieu", "epsilon=nan": "mathieu",
+               "beta=nan": "sir", "gamma=inf": "sir", "alpha=nan": "sir"}
+# values bad for one flag only: a study of one M or one N fits no order,
+# and the model parameters above
+_BAD_FOR = {"--M-list": ("4",), "--N-list": ("4",), "--param": tuple(_BAD_PARAMS)}
+_BAD_FLAGS = ("--N", "--M", "--order", "--t-final", "--stability-tol",
               "--slope-floor", "--M-list", "--N-list", "--param")
 # (command, flag) -> the values that are legitimate there and exit 0; every
 # other combination is a usage error (exit 2) or a numerical failure (1)
@@ -1001,8 +991,6 @@ _LEGITIMATE = {
     ("solve", "--t-final"): {"0.5", "2.5"},
     ("audit", "--t-final"): {"0.5", "2.5"},
     ("convergence", "--t-final"): {"0.5", "2.5"},
-    # a solve may end inside a period
-    ("solve", "--periods"): {"0.5", "2.5"},
     ("convergence", "--slope-floor"): {"0", "-1", "0.5", "2.5", "1e-9", "1e300"},
     ("solve", "--param"): {"0.5", "2.5"},
     ("audit", "--param"): {"0.5", "2.5"},
@@ -1011,7 +999,9 @@ _LEGITIMATE = {
 
 
 def _bad_input_argv(command, flag, value, out):
-    problem = "sir" if command == "audit" or flag == "--param" else "example1"
+    # a --param value without a key is that of tau
+    problem = _BAD_PARAMS.get(value, "sir" if command == "audit" or flag == "--param"
+                              else "example1")
     sizes = {"--N": "4", "--M": "4"}
     if command == "convergence":
         # the study lists M, or N when --M or --N-list is the flag under test,
@@ -1022,9 +1012,11 @@ def _bad_input_argv(command, flag, value, out):
             sizes[f"{single}-list"] = "2,4"
     argv = [command, "--problem", problem, "--out", str(out)]
     argv += [token for pair in sizes.items() for token in pair]
-    if command != "multipliers" and flag not in ("--t-final", "--periods"):
+    if command != "multipliers" and flag != "--t-final":
         argv += ["--t-final", "1"]
-    return argv + (["--param", f"tau={value}"] if flag == "--param" else [flag, value])
+    if flag == "--param" and "=" not in value:
+        value = f"tau={value}"
+    return argv + [flag, value]
 
 
 def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
@@ -1043,6 +1035,9 @@ def test_bad_numeric_inputs_fail_cleanly_and_write_nothing(tmp_path, capsys):
                 err = capsys.readouterr().err
                 if value in _LEGITIMATE.get((command, flag), ()):
                     fine = code == 0 and out.exists()
+                elif value in _BAD_PARAMS:
+                    fine = (code == 2 and err.startswith("error: field 'param': ")
+                            and err.count("\n") == 1 and not out.exists())
                 else:
                     fine = code in (1, 2) and "Traceback" not in err and not out.exists()
                 if not fine:
@@ -1085,7 +1080,7 @@ def test_infinite_stability_tolerance_is_a_usage_error(tmp_path, capsys, command
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--problem", "example1", "--t-final", "1e-9"],
-    ["solve", "--problem", "example1", "--periods", "1e-9"],
+    ["solve", "--problem", "mathieu", "--t-final", "1e-9"],
     ["audit", "--problem", "sir", "--t-final", "1e-9"],
     ["convergence", "--problem", "example1", "--M-list", "2,4", "--t-final", "1e-9"],
 ])

@@ -9,7 +9,9 @@ SQRT3, SQRT15 = np.sqrt(3.0), np.sqrt(15.0)
 
 
 def dense_omega(A, t, h, order):
-    """The order-4/6 exponents from full matrices and dense commutators."""
+    """The order-2/4/6 exponents from full matrices and dense commutators."""
+    if order == 2:
+        return h * A(t + 0.5 * h)
     if order == 4:
         a1 = A(t + (0.5 - SQRT3 / 6.0) * h)
         a2 = A(t + (0.5 + SQRT3 / 6.0) * h)
@@ -158,19 +160,20 @@ def test_structured_omega_matches_dense_formula(order, d):
     for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
         ref = dense_omega(full, t, h, order)
         assert_relative(_omega(rows, [t], h, order)[0], ref, 1e-13)
-        # a plain callable is the case d = n, without constant rows
+        # a plain callable is the case d = n, over an empty lower block
         assert_relative(_omega(TopRows(at_each(full)), [t], h, order)[0], ref, 1e-13)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
 def test_plain_callable_and_factored_forms_give_the_same_exponent(order):
-    # a plain callable takes dense commutators; the same matrix as top rows
-    # over an empty lower block (d = n), and the delay system's own top
-    # rows, take factored ones
+    # a plain callable, the same matrix as top rows over an empty lower
+    # block (d = n) and the delay system's own top rows all take factored
+    # commutators, and agree with the dense formula
     rows, full = delay_rows(2, seed=5)
     n = rows.lower.shape[1]
     for t, h in ((0.0, 0.05), (0.3, 0.125), (1.1, 0.4)):
-        dense = _omega(TopRows(at_each(full)), [t], h, order)[0]
+        dense = dense_omega(full, t, h, order)
+        assert_relative(_omega(TopRows(at_each(full)), [t], h, order)[0], dense, 1e-13)
         assert_relative(_omega(TopRows(at_each(full), np.empty((0, n))), [t], h, order)[0], dense,
                         1e-13)
         assert_relative(_omega(rows, [t], h, order)[0], dense, 1e-13)
@@ -189,7 +192,7 @@ def test_mathieu_monodromy_matches_dense_reference_propagation():
 @pytest.mark.parametrize("order", [2, 4, 6])
 def test_a_sequence_of_starts_equals_a_loop_of_single_steps(order):
     # one call over consecutive steps stacks their exponents and states,
-    # for top rows and for a plain callable (dense commutators) alike
+    # for top rows and for a plain callable alike
     rows, full = delay_rows(2, seed=order)
     h, starts = 0.05, [0.3 + k * 0.05 for k in range(5)]
     for A, y in ((rows, np.linspace(1.0, 2.0, rows.lower.shape[1])), (full, np.eye(18))):
