@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,12 +189,18 @@ def resolve_config(args: argparse.Namespace, options: dict) -> argparse.Namespac
 
 
 def _build_benchmark(cfg: argparse.Namespace):
+    """The built-in problem of ``cfg``; each warning it gives (such as an
+    SIR alpha outside {0, 1}) goes to stderr as one ``warning:`` line."""
     try:
-        bench = builtin_problem(cfg.problem, **cfg.params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bench = builtin_problem(cfg.problem, **cfg.params)
     except KeyError as exc:
         raise ConfigError(f"field 'problem': {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'param': {exc}") from exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     return bench
 
 

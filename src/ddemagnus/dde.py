@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .linalg import NumericalFailure, SliceError, eigenvalues
+from .linalg import TAYLOR_BLOCK, NumericalFailure, eigenvalues
 # magnus_step_matrix is magnus_step and is not called here, but stays bound:
 # bench/tracer.py wraps dde.magnus_step_matrix and reports a missing name
 from .magnus_linear import (LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix,  # noqa: F401
@@ -39,8 +39,8 @@ BREAKPOINT_SNAP = 1e-4
 MAX_INTERVALS = 2 ** 20
 
 # Bytes the Taylor block of one stacked expm may take: a chunk of b linear
-# steps at system size n takes 9 n^2 8 b of them (the four powers and five
-# q_i of degree 18), so b = 33 at n = 21 and b = 1 from n = 86 on.
+# steps at system size n takes TAYLOR_BLOCK n^2 8 b of them, so b = 33 at
+# n = 21 and b = 1 from n = 86 on.
 CHUNK_BYTES = 2 ** 20
 
 # Most bytes one run may hold at once, as :func:`_check_memory` estimates
@@ -120,7 +120,7 @@ def _coefficient(M, d: int, name: str) -> np.ndarray:
 
 def _chunk_steps(n: int) -> int:
     """Linear steps one stacked expm takes at system size n (see CHUNK_BYTES)."""
-    return max(1, CHUNK_BYTES // (9 * 8 * n * n))
+    return max(1, CHUNK_BYTES // (TAYLOR_BLOCK * 8 * n * n))
 
 
 def admissible_orders(problem: DDEProblem):
@@ -164,8 +164,8 @@ class DiscretizedSystem:
         """A(t) and B(t) of a linear problem at each of ``times``, shape
         (len(times), 2, d, d), evaluated once each, in time order.
 
-        The first that raises ValueError, is not d x d or has a non-finite
-        entry raises :class:`SliceError` with the position of its time.
+        Of the coefficients that raise ValueError, are not d x d or have a
+        non-finite entry, the first in time order raises its ValueError.
         """
         d, named = self.d, (("A", self.problem.A), ("B", self.problem.B))
         out = np.empty((len(times), 2, d, d))
@@ -181,15 +181,12 @@ class DiscretizedSystem:
         except ValueError as exc:
             failure = exc
         # one finiteness check for all; a non-finite entry is an earlier
-        # failure than ``failure``, and the check of its matrix alone names it
+        # failure than ``failure``, and the check of its matrix alone raises it
         if not np.isfinite(flat[:k]).all():
             k = int(np.argmin(np.isfinite(flat[:k]).all(axis=(1, 2))))
-            try:
-                _coefficient(flat[k], d, named[k % 2][0])
-            except ValueError as exc:
-                failure = exc
+            _coefficient(flat[k], d, named[k % 2][0])
         if failure is not None:
-            raise SliceError(str(failure), k // 2) from failure
+            raise failure
         return out
 
     def top_rows(self, times) -> np.ndarray:
@@ -229,9 +226,8 @@ class DiscretizedSystem:
         :class:`TopRows`) with :func:`magnus_step`, a vector or a matrix
         state alike, as many steps per call as keep its stacked
         :func:`expm` within :data:`CHUNK_BYTES`; a coefficient or an
-        exponential that fails raises a ValueError whose ``index``, if
-        any, is the position of its step.  Quasilinear problems take one
-        step per call, stepping A(x) as the :class:`DelayExponent`
+        exponential that fails raises ValueError.  Quasilinear problems
+        take one step per call, stepping A(x) as the :class:`DelayExponent`
         (A(x), I_d, 1) and applying every exponential through one
         :class:`BlockTriangularExpmv` of the constant rows.
         """
@@ -437,8 +433,9 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
     all raise NumericalFailure with the interval and step.  For a
     non-finite state ``partial`` holds that state, for a rejected input the
     state the failing step starts from: a chunk applies none of its steps
-    until all of its exponentials are formed, so a chunk that fails at one
-    of its steps is first retaken up to that step.  numpy's overflow
+    until all of its exponentials are formed, so after a chunk fails the
+    rest of its interval is retaken one step at a time, and the first step
+    that fails raises from its own start state.  numpy's overflow
     warnings, which would only repeat such a failure, are silenced while an
     interval steps, and only then: not while its windows are handed on.
     """
@@ -456,17 +453,16 @@ def _propagate(system: DiscretizedSystem, order: int, state: np.ndarray, plan,
                         starts = [t0 + j * h for j in range(k, min(k + take, n_steps))]
                         try:
                             states = step(starts, h, state)
-                        except ValueError as exc:
-                            if not 0 < getattr(exc, "index", 0) < len(starts):
+                        except ValueError:
+                            if take == 1:
                                 raise
-                            # retake the steps before the failing one, so that
-                            # its failure is raised from its own start state
-                            take = exc.index
+                            # the failing step may be any of the chunk's
+                            take = 1
                             continue
                         _check_finite(g, k, states)
                         if every_step:
                             kept[k:k + len(states)] = states
-                        state, k, take = states[-1], k + len(states), chunk
+                        state, k = states[-1], k + len(states)
                 else:
                     at_phase, C = cumulative.get(phase) or (system.coefficients([phase])[0], None)
                     if phase != t0:

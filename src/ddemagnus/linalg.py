@@ -41,14 +41,6 @@ class NumericalFailure(RuntimeError):
         self.partial = partial
 
 
-class SliceError(ValueError):
-    """A ValueError about one slice of a stacked input; ``index`` is its position."""
-
-    def __init__(self, message, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 # Largest 1-norm for which the degree-18 Taylor polynomial of exp reaches
 # double-precision accuracy (Bader/Blanes/Casas 2019, double precision).
 _THETA_18 = 1.090863719290036e+00
@@ -71,6 +63,10 @@ _BBC_TABLE = np.array([
     [0.0, 0.0, -9.23364619367118555360e-02,
      -1.69364939002081722752e-02, -1.40086798182036094347e-05],
 ])
+
+# n x n matrices per slice in the block of :func:`_scaled_taylor_exp`: the
+# four powers and the five q_i of degree 18
+TAYLOR_BLOCK = 9
 
 # At most this many squarings are dropped, so that the A^6 column scaled by
 # 2^(6 drop) stays finite; only a zero or subnormal ||(A / 2^s)^6|| allows more.
@@ -155,7 +151,7 @@ def _scaled_taylor_exp(A: np.ndarray, norms: list, out: np.ndarray) -> None:
     s = [0 if norm <= _THETA_18 else math.ceil(math.log2(norm / _THETA_18)) for norm in norms]
     tables = _BBC_TABLE
     b, n = A.shape[0], A.shape[-1]
-    block = np.empty((9, b, n, n))
+    block = np.empty((TAYLOR_BLOCK, b, n, n))
     powers, q = block[:4], block[4:]
     np.multiply(A, np.array([0.5 ** s_i for s_i in s])[:, None, None], out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
@@ -196,9 +192,9 @@ def _validated_square(M, name: str) -> np.ndarray:
 
 def expm_numbers(b: int, n: int) -> int:
     """8-byte numbers :func:`expm` of a (b, n, n) stack holds at its peak
-    beside its input: the degree-18 block of four powers and five q_i
-    (:func:`_scaled_taylor_exp`) and the result."""
-    return 10 * b * n * n
+    beside its input: the :data:`TAYLOR_BLOCK` matrices per slice of
+    :func:`_scaled_taylor_exp` and the result."""
+    return (TAYLOR_BLOCK + 1) * b * n * n
 
 
 def expm(M) -> np.ndarray:
@@ -219,9 +215,9 @@ def expm(M) -> np.ndarray:
     stack of one.  Each slice gets its own squaring count and its own
     coefficient table, and goes through the same products as on its own,
     so ``expm(M)[i]`` equals ``expm(M[i])`` bit for bit.
-    Raises a :class:`SliceError` (a ValueError) whose ``index`` is the
-    first failing slice, without numpy's overflow warnings, when its
-    entries, its ``||M||_1`` or its result are not finite.
+    Raises ValueError, with the message of the first failing slice alone
+    and without numpy's overflow warnings, when a slice's entries, its
+    ``||M||_1`` or its result are not finite.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -235,8 +231,8 @@ def expm(M) -> np.ndarray:
         if bad:
             i = bad[0]
             if not np.isfinite(stack[i]).all():
-                raise SliceError("expm expects finite entries", i)
-            raise SliceError(f"expm needs a finite 1-norm to scale its input, got {norms[i]}", i)
+                raise ValueError("expm expects finite entries")
+            raise ValueError(f"expm needs a finite 1-norm to scale its input, got {norms[i]}")
         if n == 1:
             np.exp(stack, out=out)
         else:
@@ -244,7 +240,7 @@ def expm(M) -> np.ndarray:
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         i = int(np.argmin(finite))
-        raise SliceError(f"expm result is not finite (input 1-norm {norms[i]:.6g})", i)
+        raise ValueError(f"expm result is not finite (input 1-norm {norms[i]:.6g})")
     return result
 
 

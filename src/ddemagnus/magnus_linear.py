@@ -23,7 +23,7 @@ import numpy as np
 
 # commutator is not called here, but stays bound: bench/tracer.py wraps
 # magnus_linear.commutator and reports a missing name as a broken target
-from .linalg import SliceError, commutator, expm, expm_numbers  # noqa: F401
+from .linalg import commutator, expm, expm_numbers  # noqa: F401
 
 LINEAR_ORDERS = (2, 4, 6)
 
@@ -39,9 +39,9 @@ _NODES = {2: (0.5,),
 class TopRows:
     """A(t) = [top(t); lower] = L + P R(t) with P = [I_d; 0]: ``top`` maps a
     sequence of times to the stacked (d, n) rows R(t), shape (len, d, n),
-    and raises :class:`SliceError` with the position of a time whose rows
-    it rejects; ``lower`` is the constant (n - d, n) block of L, used by
-    reference; None means d = n, an empty lower block.
+    and raises ValueError for a time whose rows it rejects; ``lower`` is
+    the constant (n - d, n) block of L, used by reference; None means
+    d = n, an empty lower block.
     """
 
     def __init__(self, top, lower=None):
@@ -52,45 +52,34 @@ class TopRows:
 def _eval_matrices(A, times) -> np.ndarray:
     """A(t) at each of ``times``, stacked: one square size throughout."""
     rows = []
-    for i, time in enumerate(times):
+    for time in times:
         M = np.asarray(A(time), dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or (rows and M.shape != rows[0].shape):
-            raise SliceError("matrix evaluator must return a square matrix of one size", i)
+            raise ValueError("matrix evaluator must return a square matrix of one size")
         rows.append(M)
     return np.array(rows)
-
-
-def _gauss_rows(A: TopRows, starts, h: float, order: int) -> np.ndarray:
-    """The top rows at the Gauss points of the step from each of ``starts``,
-    shape (steps, points, d, n), from one ``A.top`` call over the points
-    in time order.  A rejected point raises :class:`SliceError` with the
-    position of its step."""
-    nodes = _NODES[order]
-    try:
-        rows = A.top([start + c * h for start in starts for c in nodes])
-    except SliceError as exc:
-        raise SliceError(str(exc), exc.index // len(nodes)) from exc
-    return rows.reshape((len(starts), len(nodes)) + rows.shape[1:])
 
 
 def _omega(A: TopRows, starts, h: float, order: int) -> np.ndarray:
     """Truncated Magnus exponents of the steps from each of ``starts`` to
     start + h, stacked, shape (steps, n, n).
 
-    The rows of every step come from one :func:`_gauss_rows` call, and
-    each formula below runs once over the stack.  The Gauss-point
-    differences (order 4's a2 - a1, order 6's alpha2 = P x2 and alpha3 =
-    P x3) live in the top d rows, so each commutator is taken in factored
-    form, [Y, P X] = Y[:, :d] X - P (X Y) and [Y, U V] = (Y U) V - U (V Y),
-    at O(d n^2) instead of O(n^3).  Without a lower block (d = n) the same
-    formulas run over an empty one.
+    The top rows at the Gauss points of every step come from one
+    ``A.top`` call over the points in time order, and each formula below
+    runs once over the stack.  The Gauss-point differences (order 4's
+    a2 - a1, order 6's alpha2 = P x2 and alpha3 = P x3) live in the top d
+    rows, so each commutator is taken in factored form, [Y, P X] =
+    Y[:, :d] X - P (X Y) and [Y, U V] = (Y U) V - U (V Y), at O(d n^2)
+    instead of O(n^3).  Without a lower block (d = n) the same formulas run
+    over an empty one.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"step size h must be positive and finite, got {h!r}")
     if order not in _NODES:
         raise ValueError(f"order must be one of {LINEAR_ORDERS}, got {order}")
-    rows = _gauss_rows(A, starts, h, order)
-    points = [rows[:, i] for i in range(len(_NODES[order]))]
+    nodes = _NODES[order]
+    rows = A.top([start + c * h for start in starts for c in nodes])
+    points = [rows[i::len(nodes)] for i in range(len(nodes))]
     d, n = rows.shape[-2:]
 
     def stacked(top, lower):
@@ -161,8 +150,8 @@ def magnus_step(A, t, h: float, y, order: int) -> np.ndarray:
     through one stacked :func:`expm` call, a single step's as a stack of
     one, and are then applied in order; each state equals that of a loop
     of single steps bit for bit.  A point of A that fails raises
-    :class:`SliceError` (a ValueError) with the position of its step, and
-    so does an exponential that is not finite.
+    ValueError, and so does an exponential that is not finite; a caller
+    that needs the failing step retakes the steps one at a time.
 
     Parameters
     ----------

@@ -1,8 +1,11 @@
 import contextlib
 import errno
+import importlib
 import io
 import math
 import os
+import pkgutil
+import re
 import shlex
 import stat
 import subprocess
@@ -117,18 +120,14 @@ def test_nonfinite_horizon_is_a_usage_error(capsys, argv, field):
     assert f"field '{field}'" in err
 
 
-BAD_PERIODS = ["nan", "inf", "-1", "0", "1e308"]
-
-
-@pytest.mark.parametrize("value", BAD_PERIODS)
-def test_multipliers_rejects_nonfinite_periods(capsys, value):
-    # multipliers take no --periods, bad or good: over p periods they are
-    # those of one period to the power p
-    with pytest.raises(SystemExit) as info:
-        main(["multipliers", "--problem", "example1", "--N", "4", "--M", "4",
-              "--periods", value])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --periods" in capsys.readouterr().err
+def test_model_warning_is_one_stderr_line(capsys):
+    # an SIR alpha outside {0, 1} is legal but unusual: the run goes on
+    # and says so in one plain line, not in Python's warning format
+    code, out, err = run_cli(["audit", "--problem", "sir", "--t-final", "2",
+                              "--param", "alpha=2", "--N", "4", "--M", "4"], capsys)
+    assert code == 0 and out.startswith("# generator = ddemagnus")
+    assert err == ("warning: alpha outside {0, 1} has no standard epidemiological "
+                   "reading; proceeding anyway\n")
 
 
 @pytest.mark.parametrize("flag", ["--M-list", "--N-list"])
@@ -963,6 +962,18 @@ def test_readme_cli_examples_run(tmp_path, capsys):
             del argv[argv.index("--out"):argv.index("--out") + 2]
         code, _, err = run_cli(argv + ["--out", str(tmp_path / "out.csv")], capsys)
         assert code == 0, f"{line}: {err}"
+
+
+def test_readme_code_names_exist():
+    # each `module.name` the README gives of a ddemagnus module is there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {info.name for info in pkgutil.iter_modules(ddemagnus.__path__)}
+    names = [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+             if module in modules]
+    assert ("dde", "solve_blocks") in names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"ddemagnus.{module}"), name), \
+            f"README names {module}.{name}, which ddemagnus.{module} does not define"
 
 
 def test_cli_version_and_help_exit():

@@ -11,6 +11,7 @@ from ddemagnus import (ChebyshevGrid, DiscretizedSystem, LinearDDEProblem,
                        builtin_problem, dde, discretize, eigenvalues, expm, magnus_step,
                        monodromy, solve, stability_verdict)
 from ddemagnus.dde import MonodromyResult, Trajectory, _interval_plan, solve_blocks
+from ddemagnus.linalg import TAYLOR_BLOCK
 from ddemagnus.magnus_linear import TopRows
 
 SQRT2 = np.sqrt(2.0)
@@ -349,6 +350,78 @@ def test_a_failure_inside_a_chunk_reports_its_own_step(A, step, message):
     for k in range(step):
         state = magnus_step(A, k / 16, 1 / 16, state, 6)
     np.testing.assert_array_equal(info.value.partial, state)
+
+
+@pytest.mark.parametrize("n, steps", [(21, 33), (85, 2), (86, 1)])
+def test_a_chunk_keeps_its_taylor_block_within_chunk_bytes(n, steps):
+    # TAYLOR_BLOCK = 9 n x n matrices of 8 bytes per step within 1 MiB
+    assert dde._chunk_steps(n) == steps
+
+
+def _single_steps(problem, steps):
+    """The state a loop of single order-6 steps of 1/16 from the start of a
+    :func:`_rejects_in` problem reaches after ``steps`` steps at N = 6."""
+    system = discretize(problem, 6)
+    A, state = TopRows(system.top_rows, system._lower), system.phi_vector
+    for k in range(steps):
+        state = magnus_step(A, k / 16, 1 / 16, state, 6)
+    return state
+
+
+def _raise_at(k):
+    raise ValueError(f"A rejects step {k}")
+
+
+def test_the_earlier_of_two_failures_in_a_chunk_is_reported():
+    # step 3's exponential exp(h * 1e5) overflows, and step 5's coefficient
+    # raises: the chunk fails at step 5, whose coefficient is evaluated
+    # before any exponential is formed; taken one step at a time, the
+    # interval fails at step 3
+    problem = _rejects_in(
+        lambda k: _raise_at(k) if k == 5 else np.array([[1e5 if k == 3 else 0.1]]))
+    system = discretize(problem, 6)
+    step, chunk = system.stepper(6)
+    assert chunk >= 16
+    with pytest.raises(ValueError, match="A rejects step 5"):
+        step([k / 16 for k in range(16)], 1 / 16, system.phi_vector)
+    with pytest.raises(NumericalFailure) as info:
+        solve(problem, 6, 16, 6, 1.0)
+    assert (info.value.interval, info.value.step) == (0, 3)
+    assert "expm result is not finite" in str(info.value)
+    assert str(info.value).endswith(" in interval 0, step 3")
+    np.testing.assert_array_equal(info.value.partial, _single_steps(problem, 3))
+
+
+# chunks of 5 steps at N = 6, d = 1 (n = 7)
+_FIVE_STEP_CHUNKS = 5 * TAYLOR_BLOCK * 8 * 7 ** 2
+
+
+@pytest.mark.parametrize("step", [0, 5], ids=["first chunk", "second chunk"])
+def test_a_failure_at_the_first_step_of_a_chunk_reports_it(monkeypatch, step):
+    monkeypatch.setattr(dde, "CHUNK_BYTES", _FIVE_STEP_CHUNKS)
+    problem = _rejects_in(lambda k: np.array([[np.nan if k == step else 0.1]]))
+    assert discretize(problem, 6).stepper(6)[1] == 5
+    with pytest.raises(NumericalFailure) as info:
+        solve(problem, 6, 16, 6, 1.0)
+    assert (info.value.interval, info.value.step) == (0, step)
+    assert (f"coefficient A returned non-finite entries in interval 0, step {step}"
+            in str(info.value))
+    np.testing.assert_array_equal(info.value.partial, _single_steps(problem, step))
+
+
+def test_a_run_that_does_not_fail_takes_each_chunk_once(monkeypatch):
+    # 16 steps per full interval in chunks of 5 + 5 + 5 + 1 and the 7 of the
+    # partial one in 5 + 2, three Gauss points each: one top_rows call per
+    # chunk, so no chunk is retaken
+    monkeypatch.setattr(dde, "CHUNK_BYTES", _FIVE_STEP_CHUNKS)
+    calls, top_rows = [], DiscretizedSystem.top_rows
+
+    def counted(self, times):
+        calls.append(len(times))
+        return top_rows(self, times)
+    monkeypatch.setattr(DiscretizedSystem, "top_rows", counted)
+    solve(_rejects_in(lambda k: np.array([[0.1]])), 6, 16, 6, 2.4)
+    assert calls == 2 * [15, 15, 15, 3] + [15, 6]
 
 
 def test_nonfinite_coefficient_reports_location():
