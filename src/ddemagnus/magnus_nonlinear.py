@@ -10,7 +10,8 @@ differentiation rows L = [L21, L22].  Every exponent the two schemes
 build is then T = [[P, 0], [L21 @ W, c * L22]] with d x d blocks P and
 W and a scalar c, carried as a :class:`DelayExponent`, and
 :class:`BlockTriangularExpmv` applies exp(T) from tables built once per
-step size instead of exponentiating the full matrix at every stage.
+step size instead of exponentiating the full matrix at every stage: a
+series in P summed by doubling, then one product with the table.
 """
 
 from __future__ import annotations
@@ -93,19 +94,21 @@ class BlockTriangularExpmv:
     quasilinear system.
 
     ``lower`` holds the constant rows [L21, L22] of the system matrix,
-    shape (n - d, n).  With R = c L22 and S = W / c,
+    shape (n - d, n).  With R = c L22,
 
-        exp(T) y = [ sum_k P^k y1 / k! ;  e^R y2 + sum_k G_k S P^k y1 ],
+        exp(T) y = [ sum_k P^k y1 / k! ;  e^R y2 + sum_k (G_k / c) W P^k y1 ],
 
-    where G_k = phi_{k+1}(R) c L21.  Tables e^R and G_0..G_{K-1} come
-    from one ``expm`` of [[R, c L21, 0 ...], [0, 0, I, ...], ...] of size
-    (n - d) + K d (Al-Mohy & Higham 2011), built when a (c, m) pair first
-    occurs.  m = 1 while ||P||_1 <= 1.  Beyond that m = 2^j with
-    ||P/m||_1 <= 1: the series builds the blocks of exp(T/m) from tables
-    for R/m, and j block-triangular squarings give exp(T), so a large P
-    costs j small products rather than a long, cancelling series.  A
-    non-finite P or W, or a c that is zero or not finite, raises
-    ValueError.
+    where G_k = phi_{k+1}(R) c L21.  The table [e^R | G_0/c ... G_{K-1}/c]
+    comes from one ``expm`` of [[R, c L21, 0 ...], [0, 0, I, ...], ...] of
+    size (n - d) + K d (Al-Mohy & Higham 2011), built when a (c, m) pair
+    first occurs.  The series rows (P^k y1)^T fill by doubling, so K = 9-11
+    terms take 4 products and 3 squarings of P, and the lower block is one
+    product of the table with [y2; W P^0 y1; ...; W P^{K-1} y1].  m = 1
+    while ||P||_1 <= 1.  Beyond that m = 2^j with ||P/m||_1 <= 1: the
+    series builds the blocks of exp(T/m) from tables for R/m, and j
+    block-triangular squarings give exp(T), so a large P costs j small
+    products rather than a long, cancelling series.  A non-finite P or W,
+    or a c that is zero or not finite, raises ValueError.
     """
 
     def __init__(self, lower, d: int):
@@ -127,8 +130,10 @@ class BlockTriangularExpmv:
         return expm_numbers(1, size) + 2 * size * size + 4 * n * n
 
     def _table(self, c: float, m: int) -> tuple:
-        """([e^{R/m}, e^{2R/m}, ..., e^R], [G_0 ... G_{K-1}] of R/m) for
-        R = c L22 and m = 2^j."""
+        """([e^{R/m} | G_0/c ... G_{K-1}/c]^T of R/m, [e^{2R/m}, ..., e^R])
+        for R = c L22 and m = 2^j.  The first is held transposed, so that
+        its first nl + k d rows, all a series of k terms reads, are one
+        contiguous block."""
         table = self._tables.get((c, m))
         if table is None:
             nl, d, K = self._l22.shape[0], self.d, _MAX_TERMS
@@ -136,39 +141,60 @@ class BlockTriangularExpmv:
             Z[:nl, :nl] = (c / m) * self._l22
             Z[:nl, nl:nl + d] = (c / m) * self._l21
             Z[nl:nl + (K - 1) * d, nl + d:] = np.eye((K - 1) * d)
-            F = expm(Z)
-            squares = [F[:nl, :nl].copy()]
+            H = expm(Z)[:nl].T.copy()
+            H[nl:] /= c
+            squares = [H[:nl].T]
             while len(squares) < m.bit_length():
                 squares.append(squares[-1] @ squares[-1])
-            table = self._tables[(c, m)] = (squares, F[:nl, nl:].copy())
+            table = self._tables[(c, m)] = (H, squares[1:])
         return table
 
     def __call__(self, T: DelayExponent, y) -> np.ndarray:
-        d, P, c = self.d, T.P, T.c
-        norm = float(np.abs(P).sum(axis=0).max())
-        if not (math.isfinite(norm) and np.isfinite(T.W).all()):
+        d, P, W, c = self.d, T.P, T.W, T.c
+        # the column sums of |P| and |W|, in one pass
+        p_cols, w_cols = np.abs((P, W)).sum(axis=1).tolist()
+        if not all(map(math.isfinite, p_cols + w_cols)):
             raise ValueError("exponent has non-finite entries")
         if not (math.isfinite(c) and c != 0.0):
             raise ValueError(f"exponent has a zero or non-finite scale c = {c!r}")
+        norm = max(p_cols)
         m = 1 if norm <= _THETA else 2 ** math.ceil(math.log2(norm / _THETA))
-        squares, G = self._table(c, m)
-        # m = 1: the series acts on the column y1 and gives exp(T) y directly;
-        # m > 1: it builds the blocks of exp(T/m) = [[E, 0], [Y, e^{R/m}]],
-        # which j block-triangular squarings turn into those of exp(T)
+        H, squares = self._table(c, m)
         y = np.asarray(y, dtype=float)
-        K = _series_terms(norm / m)
-        Pm, powers = P / m, [y[:d, None] if m == 1 else np.eye(d)]
-        for _ in range(K):
-            powers.append(Pm @ powers[-1])
-        powers = np.array(powers)
-        E = (_INV_FACTORIALS[:K + 1] @ powers.reshape(K + 1, -1)).reshape(powers.shape[1:])
-        Y = G[:, :K * d] @ ((T.W / c) @ powers[:K]).reshape(K * d, -1)
-        for B in squares[:-1]:
+        nl, K = H.shape[1], _series_terms(norm / m)
+        if m == 1:
+            # ndarray.dot, not @: on these small blocks its call costs half
+            V = _series_rows(P, y[:d, None], K)
+            z = np.concatenate([y[d:], V[:K].dot(W.T).ravel()])
+            return np.concatenate([_INV_FACTORIALS[:K + 1].dot(V), z.dot(H[:nl + K * d])])
+        # the blocks of exp(T/m) = [[E, 0], [Y, e^{R/m}]], which j
+        # block-triangular squarings turn into those of exp(T)
+        # (the rows of (P^T/m)^k I are the blocks (P/m)^k)
+        V = _series_rows(P.T / m, np.eye(d), K)
+        E = _INV_FACTORIALS[:K + 1].dot(V.reshape(K + 1, -1)).reshape(d, d)
+        Y = H[nl:nl + K * d].T @ (W @ V[:K * d].reshape(K, d, d)).reshape(K * d, d)
+        for B in [H[:nl].T, *squares[:-1]]:
             Y = Y @ E + B @ Y
             E = E @ E
-        if m > 1:
-            E, Y = E @ y[:d, None], Y @ y[:d, None]
-        return np.concatenate([E[:, 0], Y[:, 0] + squares[-1] @ y[d:]])
+        return np.concatenate([E @ y[:d], Y @ y[:d] + squares[-1] @ y[d:]])
+
+
+def _series_rows(P, start, K: int) -> np.ndarray:
+    """The rows (P^k start)^T, k = 0..K, of a d x b block ``start``, stacked
+    into a ((K + 1) b, d) array.  They fill by doubling: the rows of
+    k = w..2w-1 are those of k = 0..w-1 times (P^w)^T, so K terms take
+    ceil(log2(K + 1)) products and one squaring fewer."""
+    b = start.shape[1]
+    V = np.empty(((K + 1) * b, P.shape[0]))
+    V[:b] = start.T
+    w, Q = 1, P.T
+    while True:
+        n = min(w, K + 1 - w)
+        V[w * b:(w + n) * b] = V[:n * b].dot(Q)
+        w *= 2
+        if w > K:
+            return V
+        Q = Q.dot(Q)
 
 
 def _eval_state_matrix(A, y: np.ndarray):

@@ -8,7 +8,9 @@ whose coefficient matrix is a graph Laplacian.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -215,11 +217,22 @@ _ALIASES = {
 
 
 def builtin_problem(name: str, **params) -> BenchmarkProblem:
-    """Look up a benchmark by name and build it with parameter overrides."""
+    """Look up a benchmark by name and build it with parameter overrides.
+
+    Raises KeyError for an unknown name, TypeError for a parameter the
+    problem does not take or a non-number where it takes a number, and
+    ValueError for a value the problem rejects."""
     key = _ALIASES.get(name, name)
     try:
         factory = BUILTIN_PROBLEMS[key]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_PROBLEMS))
         raise KeyError(f"unknown problem {name!r}; available: {known}") from None
+    accepted = inspect.signature(factory).parameters
+    for param, value in params.items():
+        if param not in accepted:
+            raise TypeError(f"{name} takes no parameter {param!r} "
+                            f"(it takes {', '.join(accepted) or 'none'})")
+        if not isinstance(accepted[param].default, str) and not isinstance(value, numbers.Real):
+            raise TypeError(f"{param} must be a number, got {value!r}")
     return factory(**params)

@@ -859,6 +859,24 @@ def test_unknown_problem_and_bad_param(capsys):
     code, _, err = run_cli(["solve", "--problem", "sir", "--t-final", "1",
                             "--param", "beta"], capsys)
     assert code == 2 and "param" in err
+    # a parameter the problem does not take, or a word for a number, is
+    # named with what the problem accepts, not with Python's own message
+    for argv, line in [
+        (["multipliers", "--problem", "mathieu", "--N", "4", "--M", "4", "--param", "Delta=1"],
+         "error: field 'param': mathieu takes no parameter 'Delta' "
+         "(it takes delta, epsilon, b)"),
+        (["solve", "--problem", "example1", "--N", "4", "--M", "4", "--t-final", "1",
+          "--param", "x=1"],
+         "error: field 'param': example1 takes no parameter 'x' (it takes none)"),
+        (["audit", "--problem", "sir", "--N", "4", "--M", "4", "--t-final", "1",
+          "--param", "beta=abc"],
+         "error: field 'param': beta must be a number, got 'abc'"),
+        (["audit", "--problem", "sir", "--N", "4", "--M", "4", "--t-final", "1",
+          "--param", "history=flat"],
+         "error: field 'param': history must be 'decreasing' or 'increasing'"),
+    ]:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", line + "\n")
 
 
 def test_warn_as_error_is_not_an_option(capsys):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from ddemagnus import (ChebyshevGrid, builtin_problem, expm,
                        nonlinear_magnus_step, solve)
-from ddemagnus.magnus_nonlinear import BlockTriangularExpmv, DelayExponent
+from ddemagnus import magnus_nonlinear
+from ddemagnus.linalg import expm_numbers
+from ddemagnus.magnus_nonlinear import (_MAX_TERMS, BlockTriangularExpmv, DelayExponent,
+                                        _series_terms)
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -209,23 +214,49 @@ def population_matrix(rng, d):
     return W - np.diag(W.sum(axis=0))
 
 
-@pytest.mark.parametrize("norm", [0.1, 1.0, 3.0, 10.0, 30.0, 100.0])
+def norm_with_terms(K):
+    """A ||P||_1 <= 1 that the series sums with exactly K terms: 1 % below
+    the largest nu with nu^K / K! <= 2^-53, capped below 1."""
+    return 0.99 * min(1.0, (2.0 ** -53 * math.factorial(K)) ** (1.0 / K))
+
+
+def test_norms_with_terms_cover_every_series_length():
+    assert [_series_terms(norm_with_terms(K)) for K in range(1, _MAX_TERMS + 1)] == \
+        list(range(1, _MAX_TERMS + 1))
+
+
+def shifted_scipy_action(linalg, T, lower, y):
+    """exp(T) y as e^s scipy.linalg.expm(T - s I) y, s >= 0 the spectral
+    abscissa of P.  Unshifted, scipy's expm is off by up to 2.5e-12 on a
+    growing P with ||P||_1 = 30 or 100 at d = 1; shifted, it stays within
+    2e-15 of a 40-digit mpmath reference on such exponents at ||P||_1 = 1
+    to 100, d = 1 and 3, both signs."""
+    M = dense(T, lower)
+    s = max(0.0, np.linalg.eigvals(T.P).real.max())
+    return math.exp(s) * (linalg.expm(M - s * np.eye(len(M))) @ y)
+
+
+@pytest.mark.parametrize("norm", [0.1, 1.0, 3.0, 10.0, 30.0, 100.0] + [
+    pytest.param(norm_with_terms(K), id=f"K={K}") for K in range(1, _MAX_TERMS + 1)])
 def test_structured_action_matches_scipy_for_large_top_block(norm):
-    # exponent of the SIR grid at h = 0.05 with ||P||_1 = norm, decaying
-    # (Laplacian) and growing (its negative) top-left blocks
+    # exponent of the SIR grid (d = 3) and of a scalar delay (d = 1) at
+    # h = 0.05 with ||P||_1 = norm, decaying (Laplacian) and growing (its
+    # negative) top-left blocks; up to norm 1 (m = 1) the series alone
+    # gives exp(T) y, beyond it squarings follow
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(int(norm * 10))
-    d, h = 3, 0.05
-    lower = delay_rows(20, d)
-    n = lower.shape[1]
-    for sign in (1.0, -1.0):
-        P = sign * population_matrix(rng, d)
-        P *= norm / np.abs(P).sum(axis=0).max()
-        S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
-        T = DelayExponent(P, h * S, h)
-        y = rng.standard_normal(n)
-        got = BlockTriangularExpmv(lower, d)(T, y)
-        assert rel_err(got, linalg.expm(dense(T, lower)) @ y) <= 1e-12
+    h, bound = 0.05, 1e-14 if norm <= 1.0 else 1e-12
+    for d in (3, 1):
+        lower = delay_rows(20, d)
+        n = lower.shape[1]
+        for sign in (1.0, -1.0):
+            P = sign * (population_matrix(rng, d) if d > 1 else -np.ones((1, 1)))
+            P *= norm / np.abs(P).sum(axis=0).max()
+            S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+            T = DelayExponent(P, h * S, h)
+            y = rng.standard_normal(n)
+            got = BlockTriangularExpmv(lower, d)(T, y)
+            assert rel_err(got, shifted_scipy_action(linalg, T, lower, y)) <= bound
 
 
 def test_stiff_top_block_squares_instead_of_substepping():
@@ -267,6 +298,38 @@ def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
     dense_run = solve(problem, 20, 20, 3, 10.37)
     for got, ref in zip(fast.states, dense_run.states):
         assert rel_err(got, ref) <= 1e-12
+
+
+def owned_bytes(a):
+    """Bytes an array keeps alive: its base's, when it is a view."""
+    return (a if a.base is None else a.base).nbytes
+
+
+def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch):
+    # once a sir solve has built its two (c, m) tables, the tables and
+    # lower rows the instance holds, plus the block matrix and the expm of
+    # building one more, fit within numbers()
+    problem = builtin_problem("sir").problem
+    instances, blocks = [], []
+    init = BlockTriangularExpmv.__init__
+
+    def spy_init(self, lower, d):
+        init(self, lower, d)
+        instances.append(self)
+
+    def spy_expm(Z):
+        blocks.append(Z)
+        return expm(Z)
+    monkeypatch.setattr(BlockTriangularExpmv, "__init__", spy_init)
+    monkeypatch.setattr(magnus_nonlinear, "expm", spy_expm)
+    N, d = 20, problem.d
+    solve(problem, N, 20, 3, 10.0)
+    [action] = instances
+    assert len(action._tables) == len(blocks) == 2
+    held = owned_bytes(action._l21) + owned_bytes(action._l22) + sum(
+        owned_bytes(H) + sum(map(owned_bytes, squares)) for H, squares in action._tables.values())
+    building = blocks[-1].nbytes + 8 * expm_numbers(1, len(blocks[-1]))
+    assert held + building <= 8 * BlockTriangularExpmv.numbers(d * (N + 1), d)
 
 
 def test_structured_action_rejects_broken_invariant():
