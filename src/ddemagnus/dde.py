@@ -23,8 +23,7 @@ from .linalg import TAYLOR_BLOCK, NumericalFailure, eigenvalues
 # bench/tracer.py wraps dde.magnus_step_matrix and reports a missing name
 from .magnus_linear import (LINEAR_ORDERS, TopRows, magnus_step, magnus_step_matrix,  # noqa: F401
                             step_numbers)
-from .magnus_nonlinear import (NONLINEAR_ORDERS, BlockTriangularExpmv, DelayExponent,
-                               nonlinear_magnus_step)
+from .magnus_nonlinear import NONLINEAR_ORDERS, BlockTriangularExpmv, nonlinear_magnus_step
 from .spectral import ChebyshevGrid, interpolate_window
 
 # t_final within this fraction of tau of a breaking point snaps onto it,
@@ -227,16 +226,16 @@ class DiscretizedSystem:
         state alike, as many steps per call as keep its stacked
         :func:`expm` within :data:`CHUNK_BYTES`; a coefficient or an
         exponential that fails raises ValueError.  Quasilinear problems
-        take one step per call, stepping A(x) as the :class:`DelayExponent`
-        (A(x), I_d, 1) and applying every exponential through one
-        :class:`BlockTriangularExpmv` of the constant rows.
+        take one step per call on the d x d block A(x) alone, applying
+        every exponential through one :class:`BlockTriangularExpmv` of the
+        constant rows.
         """
         kind, orders = admissible_orders(self.problem)
         if order not in orders:
             raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
         if kind == "quasilinear":
-            d, eye, expmv = self.d, np.eye(self.d), BlockTriangularExpmv(self._lower, self.d)
-            A = lambda y: DelayExponent(_coefficient(self.problem.A(y[-d:]), d, "A(x)"), eye, 1.0)
+            d, expmv = self.d, BlockTriangularExpmv(self._lower, self.d)
+            A = lambda y: _coefficient(self.problem.A(y[-d:]), d, "A(x)")
             return (lambda starts, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)[None]), 1
         A = TopRows(self.top_rows, self._lower)
         return (lambda starts, h, y: magnus_step(A, starts, h, y, order),

@@ -2,13 +2,14 @@
 
 Both schemes alternate evaluations of A along provisional exponential
 updates, so a step applies a handful of matrix exponentials to the
-state.  By default each is a dense ``expm(M) @ y``.
+state.
 
 For the spectrally discretized delay system only the top-left d x d
 block of A(y) depends on the state; rows d.. are the constant
 differentiation rows L = [L21, L22].  Every exponent the two schemes
-build is then T = [[P, 0], [L21 @ W, c * L22]] with d x d blocks P and
-W and a scalar c, carried as a :class:`DelayExponent`, and
+build is then T = [[P, 0], [L21 @ W, c * L22]], and the step works on
+its d x d blocks P and W and its scalar c alone: the schemes' sums and
+products act on P, while W and c follow from the step size.
 :class:`BlockTriangularExpmv` applies exp(T) from tables built once per
 step size instead of exponentiating the full matrix at every stage: a
 series in P summed by doubling, then one product with the table.
@@ -46,52 +47,15 @@ _MAX_TERMS = _series_terms(_THETA)
 _INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(_MAX_TERMS + 1)])
 
 
-def dense_expmv(M, y) -> np.ndarray:
-    """exp(M) @ y through the full matrix exponential; any square M."""
+def dense_expmv(M, W, c, y) -> np.ndarray:
+    """exp(M) @ y through the full matrix exponential; any square M.  W and
+    c, which only the block form reads, are ignored."""
     return expm(M) @ y
 
 
-class DelayExponent:
-    """T = [[P, 0], [L21 @ W, c * L22]] over the constant rows [L21, L22]
-    of a discretized quasilinear system, held as its d x d blocks P and W
-    and the scalar c.
-
-    Sums, differences, negation and scalar multiples act blockwise.  A
-    product is formed only where it keeps this form: when the left factor
-    has c = 0, or the right one has W = 0 and c = 0, T1 @ T2 is
-    (P1 P2, W1 P2, 0); any other product raises ValueError.
-    """
-
-    __array_ufunc__ = None  # `numpy scalar * exponent` goes to __rmul__
-
-    def __init__(self, P, W, c: float):
-        self.P, self.W, self.c = P, W, c
-
-    def __add__(self, other):
-        return DelayExponent(self.P + other.P, self.W + other.W, self.c + other.c)
-
-    def __sub__(self, other):
-        return DelayExponent(self.P - other.P, self.W - other.W, self.c - other.c)
-
-    def __neg__(self):
-        return DelayExponent(-self.P, -self.W, -self.c)
-
-    def __mul__(self, s):
-        s = float(s)
-        return DelayExponent(s * self.P, s * self.W, s * self.c)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if self.c != 0.0 and (other.c != 0.0 or other.W.any()):
-            raise ValueError("product of delay exponents is not of the form "
-                             "[[P, 0], [L21 W, c L22]]")
-        return DelayExponent(self.P @ other.P, self.W @ other.P, 0.0)
-
-
 class BlockTriangularExpmv:
-    """exp(T) @ y for a :class:`DelayExponent` T of the discretized
-    quasilinear system.
+    """exp(T) @ y for T = [[P, 0], [L21 W, c L22]] of the discretized
+    quasilinear system, given its d x d blocks P and W and the scalar c.
 
     ``lower`` holds the constant rows [L21, L22] of the system matrix,
     shape (n - d, n).  With R = c L22,
@@ -108,7 +72,8 @@ class BlockTriangularExpmv:
     series builds the blocks of exp(T/m) from tables for R/m, and j
     block-triangular squarings give exp(T), so a large P costs j small
     products rather than a long, cancelling series.  A non-finite P or W,
-    or a c that is zero or not finite, raises ValueError.
+    a c that is zero or not finite, or a ||P||_1 above 2^1023, which no
+    float m = 2^j scales, raises ValueError.
     """
 
     def __init__(self, lower, d: int):
@@ -149,8 +114,8 @@ class BlockTriangularExpmv:
             table = self._tables[(c, m)] = (H, squares[1:])
         return table
 
-    def __call__(self, T: DelayExponent, y) -> np.ndarray:
-        d, P, W, c = self.d, T.P, T.W, T.c
+    def __call__(self, P, W, c: float, y) -> np.ndarray:
+        d = self.d
         # the column sums of |P| and |W|, in one pass
         p_cols, w_cols = np.abs((P, W)).sum(axis=1).tolist()
         if not all(map(math.isfinite, p_cols + w_cols)):
@@ -158,6 +123,9 @@ class BlockTriangularExpmv:
         if not (math.isfinite(c) and c != 0.0):
             raise ValueError(f"exponent has a zero or non-finite scale c = {c!r}")
         norm = max(p_cols)
+        if norm > 2.0 ** 1023:
+            # m = 2^1024 would not be a float
+            raise ValueError(f"exponent has ||P||_1 = {norm!r}, above 2**1023: too large to scale")
         m = 1 if norm <= _THETA else 2 ** math.ceil(math.log2(norm / _THETA))
         H, squares = self._table(c, m)
         y = np.asarray(y, dtype=float)
@@ -197,11 +165,8 @@ def _series_rows(P, start, K: int) -> np.ndarray:
         Q = Q.dot(Q)
 
 
-def _eval_state_matrix(A, y: np.ndarray):
-    M = A(y)
-    if isinstance(M, DelayExponent):
-        return M
-    M = np.asarray(M, dtype=float)
+def _eval_state_matrix(A, y: np.ndarray) -> np.ndarray:
+    M = np.asarray(A(y), dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("state-matrix evaluator must return a square matrix")
     return M
@@ -214,25 +179,33 @@ def nonlinear_magnus_step(A, h: float, y, order: int, *,
     Order 2 (trapezoidal correction of the frozen exponent):
         u = h A(y);  v = (u + h A(e^u y)) / 2;  y_next = e^v y.
     Order 3 adds two more corrector evaluations and one commutator.
-    Local error is O(h^(order+1)).  ``A(y)`` returns a square matrix or
-    a :class:`DelayExponent`; ``expmv(M, y)`` applies exp(M) to y.  The
-    default exponentiates a matrix in full, :class:`BlockTriangularExpmv`
-    applies a :class:`DelayExponent`.
+    Local error is O(h^(order+1)).  ``A(y)`` returns the state-dependent
+    top-left block of the system matrix, the whole matrix for a plain
+    ODE; ``expmv(P, W, c, y)`` applies exp([[P, 0], [L21 W, c L22]]) to y,
+    which the default, :func:`dense_expmv`, takes as exp(P) y.
+
+    Each evaluation h A(y) is the exponent (h A(y), h I, h), so q2, q3 and
+    q4, differences of two such, have W = 0 and c = 0 exactly; the
+    formulas below run on P alone, and each exponential is given the W
+    and c that its exponent has by construction: (h/2 I, h/2) for q1/2
+    and u1, (h I, h) for u, v and u2, and (h I - (h/6) q2, h) for u3, whose
+    commutator [q1, q2] has lower block L21 (h I) q2.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"step size h must be positive and finite, got {h!r}")
+    if order not in NONLINEAR_ORDERS:
+        raise ValueError(f"order must be one of {NONLINEAR_ORDERS}, got {order}")
     y = np.asarray(y, dtype=float)
+    q1 = h * _eval_state_matrix(A, y)
+    W = h * np.eye(len(q1))
     if order == 2:
-        u = h * _eval_state_matrix(A, y)
-        v = 0.5 * (u + h * _eval_state_matrix(A, expmv(u, y)))
-        return expmv(v, y)
-    if order == 3:
-        q1 = h * _eval_state_matrix(A, y)
-        q2 = h * _eval_state_matrix(A, expmv(0.5 * q1, y)) - q1
-        u1 = 0.5 * q1 + 0.25 * q2
-        u2 = q1 + q2
-        q3 = -u2 + h * _eval_state_matrix(A, expmv(u1, y))
-        q4 = -u2 - q2 + h * _eval_state_matrix(A, expmv(u2, y))
-        u3 = u2 + (2.0 / 3.0) * q3 + (1.0 / 6.0) * q4 - (1.0 / 6.0) * (q1 @ q2 - q2 @ q1)
-        return expmv(u3, y)
-    raise ValueError(f"order must be one of {NONLINEAR_ORDERS}, got {order}")
+        v = 0.5 * (q1 + h * _eval_state_matrix(A, expmv(q1, W, h, y)))
+        return expmv(v, W, h, y)
+    half_W, half_h = 0.5 * W, 0.5 * h
+    q2 = h * _eval_state_matrix(A, expmv(0.5 * q1, half_W, half_h, y)) - q1
+    u1 = 0.5 * q1 + 0.25 * q2
+    u2 = q1 + q2
+    q3 = -u2 + h * _eval_state_matrix(A, expmv(u1, half_W, half_h, y))
+    q4 = -u2 - q2 + h * _eval_state_matrix(A, expmv(u2, W, h, y))
+    u3 = u2 + (2.0 / 3.0) * q3 + (1.0 / 6.0) * q4 - (1.0 / 6.0) * (q1 @ q2 - q2 @ q1)
+    return expmv(u3, W - (1.0 / 6.0) * (h * q2), h, y)

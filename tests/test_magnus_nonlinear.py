@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ddemagnus import (ChebyshevGrid, builtin_problem, expm,
+from ddemagnus import (ChebyshevGrid, builtin_problem, discretize, expm,
                        nonlinear_magnus_step, solve)
 from ddemagnus import magnus_nonlinear
 from ddemagnus.linalg import expm_numbers
-from ddemagnus.magnus_nonlinear import (_MAX_TERMS, BlockTriangularExpmv, DelayExponent,
-                                        _series_terms)
+from ddemagnus.magnus_nonlinear import _MAX_TERMS, BlockTriangularExpmv, _series_terms
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -74,13 +73,13 @@ def delay_rows(N, d, tau=1.0):
     return np.kron(ChebyshevGrid.build(N, tau).scaled_diff_matrix, np.eye(d))[d:]
 
 
-def dense(T, lower):
-    """The n x n matrix [[P, 0], [L21 W, c L22]] that a DelayExponent stands for."""
-    d = T.P.shape[0]
+def dense(P, W, c, lower):
+    """The n x n matrix [[P, 0], [L21 W, c L22]] of the blocks P, W and c."""
+    d = P.shape[0]
     M = np.zeros((lower.shape[1], lower.shape[1]))
-    M[:d, :d] = T.P
-    M[d:, :d] = lower[:, :d] @ T.W
-    M[d:, d:] = T.c * lower[:, d:]
+    M[:d, :d] = P
+    M[d:, :d] = lower[:, :d] @ W
+    M[d:, d:] = c * lower[:, d:]
     return M
 
 
@@ -88,57 +87,13 @@ def rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
-def random_exponent(rng, d, c, zero_w=False):
-    W = np.zeros((d, d)) if zero_w else rng.standard_normal((d, d))
-    return DelayExponent(rng.standard_normal((d, d)), W, c)
-
-
-def test_delay_exponent_linear_operations_act_blockwise():
-    rng = np.random.default_rng(41)
-    d, lower = 2, delay_rows(4, 2)
-    S, T = random_exponent(rng, d, 0.3), random_exponent(rng, d, -0.7)
-    for got, ref in [(S + T, dense(S, lower) + dense(T, lower)),
-                     (S - T, dense(S, lower) - dense(T, lower)),
-                     (-S, -dense(S, lower)),
-                     (2.5 * S, 2.5 * dense(S, lower)),
-                     (S * 2.5, 2.5 * dense(S, lower)),
-                     (np.float64(-0.25) * S, -0.25 * dense(S, lower))]:
-        assert isinstance(got, DelayExponent)
-        np.testing.assert_allclose(dense(got, lower), ref, rtol=0, atol=1e-13)
-
-
-def test_delay_exponent_products_in_the_closed_cases():
-    rng = np.random.default_rng(42)
-    d, lower = 3, delay_rows(5, 3)
-    general = random_exponent(rng, d, 0.4)
-    top_only = random_exponent(rng, d, 0.0, zero_w=True)
-    no_shift = random_exponent(rng, d, 0.0)
-    for left, right in [(general, top_only), (top_only, general), (no_shift, general),
-                        (no_shift, top_only), (top_only, top_only)]:
-        got = left @ right
-        assert got.c == 0.0
-        ref = dense(left, lower) @ dense(right, lower)
-        np.testing.assert_allclose(dense(got, lower), ref, rtol=0,
-                                   atol=1e-13 * np.abs(ref).max())
-
-
-def test_delay_exponent_rejects_products_outside_the_form():
-    rng = np.random.default_rng(43)
-    d = 2
-    general = random_exponent(rng, d, 0.4)
-    for right in [random_exponent(rng, d, 0.5),
-                  random_exponent(rng, d, 0.0),
-                  random_exponent(rng, d, 0.5, zero_w=True)]:
-        with pytest.raises(ValueError):
-            general @ right
-
-
 @pytest.mark.parametrize("order", [2, 3])
 def test_intermediates_keep_delay_pattern(order):
     # a state-dependent evaluator with the discretized-delay pattern: the
     # structured action must accept every exponent the step builds and
-    # agree with the dense exponential on it, and each exponent must be
-    # the one the dense scheme builds from the assembled matrices
+    # agree with the dense exponential on it, and each exponent's blocks,
+    # W and c among them, must give the matrix the dense scheme builds
+    # from the assembled matrices
     rng = np.random.default_rng(order + 77)
     d, N = 2, 3
     lower = delay_rows(N, d)
@@ -146,13 +101,13 @@ def test_intermediates_keep_delay_pattern(order):
     structured = BlockTriangularExpmv(lower, d)
     seen, seen_dense = [], []
 
-    def expmv(T, y):
-        got = structured(T, y)
-        assert rel_err(got, expm(dense(T, lower)) @ y) <= 1e-13
-        seen.append(dense(T, lower))
+    def expmv(P, W, c, y):
+        got = structured(P, W, c, y)
+        assert rel_err(got, expm(dense(P, W, c, lower)) @ y) <= 1e-13
+        seen.append(dense(P, W, c, lower))
         return got
 
-    def dense_expmv(M, y):
+    def dense_expmv(M, W, c, y):
         seen_dense.append(M)
         return expm(M) @ y
 
@@ -166,8 +121,7 @@ def test_intermediates_keep_delay_pattern(order):
         return M
 
     y0 = rng.standard_normal(n) * 0.2
-    out = nonlinear_magnus_step(lambda y: DelayExponent(top(y), np.eye(d), 1.0),
-                                0.05, y0, order, expmv=expmv)
+    out = nonlinear_magnus_step(top, 0.05, y0, order, expmv=expmv)
     assert np.isfinite(out).all()
     assert len(seen) == {2: 2, 3: 4}[order]
     ref = nonlinear_magnus_step(A, 0.05, y0, order, expmv=dense_expmv)
@@ -178,14 +132,77 @@ def test_intermediates_keep_delay_pattern(order):
     assert rel_err(out, ref) <= 1e-13
 
 
+class Blocks:
+    """Reference algebra of exponents T = [[P, 0], [L21 W, c L22]] held as
+    (P, W, c): sums, negation and scalar multiples act blockwise, and a
+    product, formed only where it keeps the form (c = 0 on the left, or
+    W = 0 and c = 0 on the right), is (P1 P2, W1 P2, 0)."""
+
+    def __init__(self, P, W, c):
+        self.P, self.W, self.c = P, W, c
+
+    def __add__(self, other):
+        return Blocks(self.P + other.P, self.W + other.W, self.c + other.c)
+
+    def __sub__(self, other):
+        return Blocks(self.P - other.P, self.W - other.W, self.c - other.c)
+
+    def __neg__(self):
+        return Blocks(-self.P, -self.W, -self.c)
+
+    def __rmul__(self, s):
+        return Blocks(s * self.P, s * self.W, s * self.c)
+
+    def __matmul__(self, other):
+        assert self.c == 0.0 or (other.c == 0.0 and not other.W.any())
+        return Blocks(self.P @ other.P, self.W @ other.P, 0.0)
+
+
+def blocks_step(top, h, y, order, action):
+    """One step of the order-2 or order-3 scheme with every exponent carried
+    as :class:`Blocks`, each evaluation being (h top(y), h I, h)."""
+    d = top(y).shape[0]
+    A = lambda y: Blocks(top(y), np.eye(d), 1.0)
+    expmv = lambda T, y: action(T.P, T.W, T.c, y)
+    if order == 2:
+        u = h * A(y)
+        v = 0.5 * (u + h * A(expmv(u, y)))
+        return expmv(v, y)
+    q1 = h * A(y)
+    q2 = h * A(expmv(0.5 * q1, y)) - q1
+    u1 = 0.5 * q1 + 0.25 * q2
+    u2 = q1 + q2
+    q3 = -u2 + h * A(expmv(u1, y))
+    q4 = -u2 - q2 + h * A(expmv(u2, y))
+    u3 = u2 + (2.0 / 3.0) * q3 + (1.0 / 6.0) * q4 - (1.0 / 6.0) * (q1 @ q2 - q2 @ q1)
+    return expmv(u3, y)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_step_gives_the_bits_of_the_block_algebra(order):
+    # the step sets W and c by construction; on SIR blocks along a solve's
+    # first interval and a half it must give, bit for bit, the state the
+    # same scheme gives with (P, W, c) carried through the block algebra
+    problem = builtin_problem("sir").problem
+    N, M, d = 20, 20, problem.d
+    h = problem.tau / M
+    action = BlockTriangularExpmv(delay_rows(N, d, problem.tau), d)
+    top = lambda y: problem.A(y[-d:])
+    y = ref = discretize(problem, N).phi_vector
+    for _ in range(3 * M // 2):
+        y = nonlinear_magnus_step(top, h, y, order, expmv=action)
+        ref = blocks_step(top, h, ref, order, action)
+        assert y.tobytes() == ref.tobytes()
+
+
 def record_actions(monkeypatch, lower):
     """Route every structured action through a recorder of (dense T, y, result)."""
     calls = []
     action = BlockTriangularExpmv.__call__
 
-    def recorded(self, T, y):
-        out = action(self, T, y)
-        calls.append((dense(T, lower), np.array(y), out))
+    def recorded(self, P, W, c, y):
+        out = action(self, P, W, c, y)
+        calls.append((dense(P, W, c, lower), np.array(y), out))
         return out
     monkeypatch.setattr(BlockTriangularExpmv, "__call__", recorded)
     return calls
@@ -225,14 +242,14 @@ def test_norms_with_terms_cover_every_series_length():
         list(range(1, _MAX_TERMS + 1))
 
 
-def shifted_scipy_action(linalg, T, lower, y):
+def shifted_scipy_action(linalg, P, W, c, lower, y):
     """exp(T) y as e^s scipy.linalg.expm(T - s I) y, s >= 0 the spectral
     abscissa of P.  Unshifted, scipy's expm is off by up to 2.5e-12 on a
     growing P with ||P||_1 = 30 or 100 at d = 1; shifted, it stays within
     2e-15 of a 40-digit mpmath reference on such exponents at ||P||_1 = 1
     to 100, d = 1 and 3, both signs."""
-    M = dense(T, lower)
-    s = max(0.0, np.linalg.eigvals(T.P).real.max())
+    M = dense(P, W, c, lower)
+    s = max(0.0, np.linalg.eigvals(P).real.max())
     return math.exp(s) * (linalg.expm(M - s * np.eye(len(M))) @ y)
 
 
@@ -253,10 +270,9 @@ def test_structured_action_matches_scipy_for_large_top_block(norm):
             P = sign * (population_matrix(rng, d) if d > 1 else -np.ones((1, 1)))
             P *= norm / np.abs(P).sum(axis=0).max()
             S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
-            T = DelayExponent(P, h * S, h)
             y = rng.standard_normal(n)
-            got = BlockTriangularExpmv(lower, d)(T, y)
-            assert rel_err(got, shifted_scipy_action(linalg, T, lower, y)) <= bound
+            got = BlockTriangularExpmv(lower, d)(P, h * S, h, y)
+            assert rel_err(got, shifted_scipy_action(linalg, P, h * S, h, lower, y)) <= bound
 
 
 def test_stiff_top_block_squares_instead_of_substepping():
@@ -270,12 +286,23 @@ def test_stiff_top_block_squares_instead_of_substepping():
     n = lower.shape[1]
     P = population_matrix(rng, d)
     P *= 1e4 / np.abs(P).sum(axis=0).max()
-    T = DelayExponent(P, h * (np.eye(d) + 0.3 * rng.standard_normal((d, d))), h)
+    W = h * (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
     y = rng.standard_normal(n)
     action = BlockTriangularExpmv(lower, d)
-    got = action(T, y)
+    got = action(P, W, h, y)
     assert [m for _, m in action._tables] == [2 ** 14]
-    assert rel_err(got, linalg.expm(dense(T, lower)) @ y) <= 1e-11
+    assert rel_err(got, linalg.expm(dense(P, W, h, lower)) @ y) <= 1e-11
+
+
+def test_structured_action_rejects_a_norm_too_large_to_scale():
+    # ||P||_1 = 2^1023 scales by m = 2^1023 and squares 1023 times; above
+    # it m = 2^1024 is no float, which is a ValueError naming the norm
+    lower = delay_rows(4, 1)
+    action, W, y = BlockTriangularExpmv(lower, 1), 0.05 * np.eye(1), np.ones(5)
+    assert np.isfinite(action(np.array([[-2.0 ** 1023]]), W, 0.05, y)).all()
+    for norm in (np.nextafter(2.0 ** 1023, np.inf), 1e308, np.finfo(float).max):
+        with pytest.raises(ValueError, match=r"\|\|P\|\|_1 = .* too large to scale"):
+            action(np.array([[-norm]]), W, 0.05, y)
 
 
 def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
@@ -294,7 +321,7 @@ def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
     assert all(m == 1 for _, m in built)
     lower = delay_rows(20, problem.d, problem.tau)
     monkeypatch.setattr(BlockTriangularExpmv, "__call__",
-                        lambda self, T, y: expm(dense(T, lower)) @ y)
+                        lambda self, P, W, c, y: expm(dense(P, W, c, lower)) @ y)
     dense_run = solve(problem, 20, 20, 3, 10.37)
     for got, ref in zip(fast.states, dense_run.states):
         assert rel_err(got, ref) <= 1e-12
@@ -340,21 +367,21 @@ def test_structured_action_rejects_broken_invariant():
     W = h * np.eye(d)
     y = np.linspace(1.0, 2.0, n)
     action = BlockTriangularExpmv(lower, d)
-    action(DelayExponent(P, W, h), y)
+    action(P, W, h, y)
 
     def broken(block, index, value):
         bad = {"P": P.copy(), "W": W.copy()}
         bad[block][index] = value
-        return DelayExponent(bad["P"], bad["W"], h)
+        return bad["P"], bad["W"], h
 
     cases = [broken("P", (0, 0), np.nan), broken("P", (1, 2), np.inf),
              broken("W", (2, 1), np.nan), broken("W", (0, 0), -np.inf)]
-    cases += [DelayExponent(P, W, c) for c in (0.0, -0.0, np.nan, np.inf, -np.inf)]
+    cases += [(P, W, c) for c in (0.0, -0.0, np.nan, np.inf, -np.inf)]
     for bad in cases:
         with pytest.raises(ValueError):
-            action(bad, y)
+            action(*bad, y)
         with pytest.raises(ValueError):
-            BlockTriangularExpmv(lower, d)(bad, y)
+            BlockTriangularExpmv(lower, d)(*bad, y)
 
 
 @pytest.mark.parametrize("shape, d", [((4, 6), 3), ((4, 4), 1), ((7,), 3), ((4, 4), 0)])
