@@ -11,7 +11,7 @@ build is then T = [[P, 0], [L21 @ W, c * L22]], and the step works on
 its d x d blocks P and W and its scalar c alone: the schemes' sums and
 products act on P, while W and c follow from the step size.
 :class:`BlockTriangularExpmv` applies exp(T) from tables built once per
-step size instead of exponentiating the full matrix at every stage: a
+scale c instead of exponentiating the full matrix at every stage: a
 series in P summed by doubling, then one product with the table.
 """
 
@@ -32,6 +32,7 @@ NONLINEAR_ORDERS = (2, 3)
 # needed at nu = _THETA.
 _THETA = 1.0
 _UNIT_ROUNDOFF = 2.0 ** -53
+_MAX_SQUARINGS = 52   # m = 2^j <= 2^52: beyond, the error bound m eps is 1/2 or more
 
 
 def _series_terms(nu: float) -> int:
@@ -62,18 +63,19 @@ class BlockTriangularExpmv:
 
         exp(T) y = [ sum_k P^k y1 / k! ;  e^R y2 + sum_k (G_k / c) W P^k y1 ],
 
-    where G_k = phi_{k+1}(R) c L21.  The table [e^R | G_0/c ... G_{K-1}/c]
-    comes from one ``expm`` of [[R, c L21, 0 ...], [0, 0, I, ...], ...] of
-    size (n - d) + K d (Al-Mohy & Higham 2011), built when a (c, m) pair
-    first occurs.  The series rows (P^k y1)^T fill by doubling, so K = 9-11
-    terms take 4 products and 3 squarings of P, and the lower block is one
-    product of the table with [y2; W P^0 y1; ...; W P^{K-1} y1].  m = 1
-    while ||P||_1 <= 1.  Beyond that m = 2^j with ||P/m||_1 <= 1: the
-    series builds the blocks of exp(T/m) from tables for R/m, and j
-    block-triangular squarings give exp(T), so a large P costs j small
-    products rather than a long, cancelling series.  A non-finite P or W,
-    a c that is zero or not finite, or a ||P||_1 above 2^1023, which no
-    float m = 2^j scales, raises ValueError.
+    where G_k = phi_{k+1}(R) c L21.  The table H(c) = [e^R | G_0/c ...
+    G_{K-1}/c] comes from one ``expm`` of [[R, c L21, 0 ...], [0, 0, I,
+    ...], ...] of size (n - d) + K d (Al-Mohy & Higham 2011), built when
+    its scale c first occurs.  The series rows (P^k y1)^T fill by doubling,
+    so K = 9-11 terms take 4 products and 3 squarings of P, and the lower
+    block is one product of H(c) with [y2; W P^0 y1; ...; W P^{K-1} y1].
+    m = 1 while ||P||_1 <= 1.  Beyond that m = 2^j with ||P/m||_1 <= 1:
+    the series builds the blocks of exp(T/m) from H(c/m), and j
+    block-triangular squarings, the i-th reading e^{2^i R/m} from
+    H(c 2^(i-j)), give exp(T), so a large P costs j small products rather
+    than a long, cancelling series.  A non-finite P or W, a c that is zero
+    or not finite, or a ||P||_1 above 2^52, where the squarings' error
+    bound m eps reaches 1/2, raises ValueError before any table is built.
     """
 
     def __init__(self, lower, d: int):
@@ -83,36 +85,31 @@ class BlockTriangularExpmv:
         self.d = d
         self._l21 = lower[:, :d].copy()
         self._l22 = lower[:, d:].copy()
-        self._tables = {}   # (c, m) -> see _table
+        self._tables = {}   # scale c -> H(c), see _table
 
     @staticmethod
     def numbers(n: int, d: int) -> int:
-        """8-byte numbers an instance for a system of size n holds at its
-        peak while it builds a table: the block matrix of size
-        (n - d) + K d, its :func:`expm` and the copied table, and the
-        squares and tables of a few (c, m) pairs."""
-        size = n + (_MAX_TERMS - 1) * d
-        return expm_numbers(1, size) + 2 * size * size + 4 * n * n
+        """8-byte numbers an instance for a system of size n holds at most
+        in a solve: its lower rows, the tables of the 54 scales c = h and
+        h/2 reach under the cap on j, for the whole and the trailing step
+        size h, and the block matrix and :func:`expm` of building one."""
+        nl, size = n - d, n + (_MAX_TERMS - 1) * d
+        return nl * n + 2 * (_MAX_SQUARINGS + 2) * size * nl + size * size + expm_numbers(1, size)
 
-    def _table(self, c: float, m: int) -> tuple:
-        """([e^{R/m} | G_0/c ... G_{K-1}/c]^T of R/m, [e^{2R/m}, ..., e^R])
-        for R = c L22 and m = 2^j.  The first is held transposed, so that
-        its first nl + k d rows, all a series of k terms reads, are one
-        contiguous block."""
-        table = self._tables.get((c, m))
-        if table is None:
+    def _table(self, c: float) -> np.ndarray:
+        """H(c) = [e^R | G_0/c ... G_{K-1}/c]^T for R = c L22, held
+        transposed, so that its first nl + k d rows, all a series of k
+        terms reads, are one contiguous block."""
+        H = self._tables.get(c)
+        if H is None:
             nl, d, K = self._l22.shape[0], self.d, _MAX_TERMS
             Z = np.zeros((nl + K * d, nl + K * d))
-            Z[:nl, :nl] = (c / m) * self._l22
-            Z[:nl, nl:nl + d] = (c / m) * self._l21
+            Z[:nl, :nl] = c * self._l22
+            Z[:nl, nl:nl + d] = c * self._l21
             Z[nl:nl + (K - 1) * d, nl + d:] = np.eye((K - 1) * d)
-            H = expm(Z)[:nl].T.copy()
+            H = self._tables[c] = expm(Z)[:nl].T.copy()
             H[nl:] /= c
-            squares = [H[:nl].T]
-            while len(squares) < m.bit_length():
-                squares.append(squares[-1] @ squares[-1])
-            table = self._tables[(c, m)] = (H, squares[1:])
-        return table
+        return H
 
     def __call__(self, P, W, c: float, y) -> np.ndarray:
         d = self.d
@@ -123,28 +120,28 @@ class BlockTriangularExpmv:
         if not (math.isfinite(c) and c != 0.0):
             raise ValueError(f"exponent has a zero or non-finite scale c = {c!r}")
         norm = max(p_cols)
-        if norm > 2.0 ** 1023:
-            # m = 2^1024 would not be a float
-            raise ValueError(f"exponent has ||P||_1 = {norm!r}, above 2**1023: too large to scale")
-        m = 1 if norm <= _THETA else 2 ** math.ceil(math.log2(norm / _THETA))
-        H, squares = self._table(c, m)
+        if norm > _THETA * 2.0 ** _MAX_SQUARINGS:
+            raise ValueError(f"exponent has ||P||_1 = {norm!r}, above 2**52: too large to scale")
+        j = 0 if norm <= _THETA else math.ceil(math.log2(norm / _THETA))
+        m = 2.0 ** j
+        H = self._table(c / m)
         y = np.asarray(y, dtype=float)
         nl, K = H.shape[1], _series_terms(norm / m)
-        if m == 1:
+        if j == 0:
             # ndarray.dot, not @: on these small blocks its call costs half
             V = _series_rows(P, y[:d, None], K)
             z = np.concatenate([y[d:], V[:K].dot(W.T).ravel()])
             return np.concatenate([_INV_FACTORIALS[:K + 1].dot(V), z.dot(H[:nl + K * d])])
         # the blocks of exp(T/m) = [[E, 0], [Y, e^{R/m}]], which j
-        # block-triangular squarings turn into those of exp(T)
-        # (the rows of (P^T/m)^k I are the blocks (P/m)^k)
+        # block-triangular squarings turn into those of exp(T) (the rows of
+        # (P^T/m)^k I are the blocks (P/m)^k; H(c/m) holds G/(c/m), so Y / m)
         V = _series_rows(P.T / m, np.eye(d), K)
         E = _INV_FACTORIALS[:K + 1].dot(V.reshape(K + 1, -1)).reshape(d, d)
-        Y = H[nl:nl + K * d].T @ (W @ V[:K * d].reshape(K, d, d)).reshape(K * d, d)
-        for B in [H[:nl].T, *squares[:-1]]:
-            Y = Y @ E + B @ Y
+        Y = H[nl:nl + K * d].T @ (W @ V[:K * d].reshape(K, d, d)).reshape(K * d, d) / m
+        for i in range(j):
+            Y = Y @ E + self._table(c / 2.0 ** (j - i))[:nl].T @ Y
             E = E @ E
-        return np.concatenate([E @ y[:d], Y @ y[:d] + squares[-1] @ y[d:]])
+        return np.concatenate([E @ y[:d], Y @ y[:d] + self._table(c)[:nl].T @ y[d:]])
 
 
 def _series_rows(P, start, K: int) -> np.ndarray:

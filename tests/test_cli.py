@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ddemagnus
-from ddemagnus import ChebyshevGrid, NumericalFailure, cli
+from ddemagnus import ChebyshevGrid, NumericalFailure, cli, magnus_nonlinear
 from ddemagnus._g17 import WORDS, Formatter
 from ddemagnus.cli import _format_rows, _solve_lines, build_parser, main
 
@@ -954,6 +954,21 @@ def test_nonfinite_coefficient_is_a_numerical_failure(argv):
     assert done.stderr.startswith("numerical failure")
     assert "interval 0, step 0" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_a_norm_too_large_to_scale_fails_before_any_table(tmp_path, capsys, monkeypatch):
+    # gamma = 1e300 gives the first exponential ||P||_1 = 5e298, past the
+    # 2^52 that m = 2^j may scale: the audit fails there, at step 0, before
+    # the action builds a table, and writes no file
+    built = []
+    monkeypatch.setattr(magnus_nonlinear, "expm", lambda Z: built.append(Z) or ddemagnus.expm(Z))
+    out = tmp_path / "never.csv"
+    code, _, err = run_cli(["audit", "--problem", "sir", "--N", "20", "--M", "20", "--order", "3",
+                            "--t-final", "10", "--param", "gamma=1e300", "--out", str(out)],
+                           capsys)
+    assert code == 1 and not out.exists() and built == []
+    assert err.splitlines() == ["numerical failure: exponent has ||P||_1 = 5e+298, above "
+                                "2**52: too large to scale in interval 0, step 0"]
 
 
 def test_closed_stdout_ends_the_run_quietly():

@@ -276,9 +276,10 @@ def test_structured_action_matches_scipy_for_large_top_block(norm):
 
 
 def test_stiff_top_block_squares_instead_of_substepping():
-    # ||P||_1 = 1e4 asks for m = 2^14: one table for R/m and 14 squarings of
-    # the block-triangular exponential; the error grows like m * eps, as it
-    # does for any scaling and squaring
+    # ||P||_1 = 1e4 asks for m = 2^14: the series on the table of h/m and 14
+    # squarings of the block-triangular exponential, the i-th reading
+    # e^{2^i R/m} from the table of h 2^(i-14), so 15 scales h/2^14 ... h;
+    # the error grows like m * eps, as it does for any scaling and squaring
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(7)
     d, h = 3, 0.05
@@ -290,35 +291,61 @@ def test_stiff_top_block_squares_instead_of_substepping():
     y = rng.standard_normal(n)
     action = BlockTriangularExpmv(lower, d)
     got = action(P, W, h, y)
-    assert [m for _, m in action._tables] == [2 ** 14]
-    assert rel_err(got, linalg.expm(dense(P, W, h, lower)) @ y) <= 1e-11
+    assert sorted(action._tables) == [h / 2.0 ** k for k in range(14, -1, -1)]
+    assert rel_err(got, linalg.expm(dense(P, W, h, lower)) @ y) <= 1e-12
 
 
 def test_structured_action_rejects_a_norm_too_large_to_scale():
-    # ||P||_1 = 2^1023 scales by m = 2^1023 and squares 1023 times; above
-    # it m = 2^1024 is no float, which is a ValueError naming the norm
+    # ||P||_1 = 2^52 scales by m = 2^52 and squares 52 times; above it the
+    # error bound m * eps is 1/2 or more, which is a ValueError naming the
+    # norm, raised before any table is built
     lower = delay_rows(4, 1)
     action, W, y = BlockTriangularExpmv(lower, 1), 0.05 * np.eye(1), np.ones(5)
-    assert np.isfinite(action(np.array([[-2.0 ** 1023]]), W, 0.05, y)).all()
-    for norm in (np.nextafter(2.0 ** 1023, np.inf), 1e308, np.finfo(float).max):
-        with pytest.raises(ValueError, match=r"\|\|P\|\|_1 = .* too large to scale"):
-            action(np.array([[-norm]]), W, 0.05, y)
+    assert np.isfinite(action(np.array([[-2.0 ** 52]]), W, 0.05, y)).all()
+    for norm in (np.nextafter(2.0 ** 52, np.inf), 1e308, np.finfo(float).max):
+        fresh = BlockTriangularExpmv(lower, 1)
+        with pytest.raises(ValueError, match=r"\|\|P\|\|_1 = .*, above 2\*\*52: too large"):
+            fresh(np.array([[-norm]]), W, 0.05, y)
+        assert fresh._tables == {}
+
+
+def test_a_stiff_action_reads_the_table_of_half_its_scale(monkeypatch):
+    # a j = 1 action at c = h squares once from the table of h/2, the very
+    # table a series action at c = h/2 built, and builds only that of h
+    d, h = 3, 0.05
+    lower = delay_rows(20, d)
+    n = lower.shape[1]
+    built, read = [], []
+    table = BlockTriangularExpmv._table
+
+    def spy(self, c):
+        read.append(table(self, c))
+        return read[-1]
+    monkeypatch.setattr(BlockTriangularExpmv, "_table", spy)
+    monkeypatch.setattr(magnus_nonlinear, "expm", lambda Z: built.append(Z) or expm(Z))
+    P, W, y = np.diag([-2.0, -1.0, 0.0]), h * np.eye(d), np.linspace(1.0, 2.0, n)
+    action = BlockTriangularExpmv(lower, d)
+    action(P / 2, W / 2, h / 2, y)
+    [half] = read
+    action(P, W, h, y)
+    assert sorted(action._tables) == [h / 2, h] and len(built) == 2
+    assert read[1] is half
 
 
 def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
-    # 10.37 = ten delays plus a trailing interval of 8 steps of 0.04625
+    # 10.37 = ten delays plus a trailing interval of 8 steps of 0.04625;
+    # no action is stiff, so the tables are those of h and h/2 alone
     problem = builtin_problem("sir").problem
     built = []
     table = BlockTriangularExpmv._table
 
-    def spy(self, c, m):
-        if (c, m) not in self._tables:
-            built.append((c, m))
-        return table(self, c, m)
+    def spy(self, c):
+        if c not in self._tables:
+            built.append(c)
+        return table(self, c)
     monkeypatch.setattr(BlockTriangularExpmv, "_table", spy)
     fast = solve(problem, 20, 20, 3, 10.37)
-    assert sorted(c for c, _ in built) == pytest.approx([0.023125, 0.025, 0.04625, 0.05])
-    assert all(m == 1 for _, m in built)
+    assert sorted(built) == pytest.approx([0.023125, 0.025, 0.04625, 0.05])
     lower = delay_rows(20, problem.d, problem.tau)
     monkeypatch.setattr(BlockTriangularExpmv, "__call__",
                         lambda self, P, W, c, y: expm(dense(P, W, c, lower)) @ y)
@@ -332,31 +359,68 @@ def owned_bytes(a):
     return (a if a.base is None else a.base).nbytes
 
 
-def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch):
-    # once a sir solve has built its two (c, m) tables, the tables and
-    # lower rows the instance holds, plus the block matrix and the expm of
-    # building one more, fit within numbers()
-    problem = builtin_problem("sir").problem
+def spy_on_builds(monkeypatch):
+    """Record each instance made and each block matrix its tables exponentiate."""
     instances, blocks = [], []
     init = BlockTriangularExpmv.__init__
 
     def spy_init(self, lower, d):
         init(self, lower, d)
         instances.append(self)
-
-    def spy_expm(Z):
-        blocks.append(Z)
-        return expm(Z)
     monkeypatch.setattr(BlockTriangularExpmv, "__init__", spy_init)
-    monkeypatch.setattr(magnus_nonlinear, "expm", spy_expm)
+    monkeypatch.setattr(magnus_nonlinear, "expm", lambda Z: blocks.append(Z) or expm(Z))
+    return instances, blocks
+
+
+def peak_bytes(action, blocks):
+    """The lower rows and tables the instance holds, plus the block matrix
+    and the expm workspace of building the last table."""
+    held = owned_bytes(action._l21) + owned_bytes(action._l22) + sum(
+        map(owned_bytes, action._tables.values()))
+    return held + blocks[-1].nbytes + 8 * expm_numbers(1, len(blocks[-1]))
+
+
+@pytest.mark.parametrize("beta, stiff", [(None, 0), (30.0, 86), (1000.0, 413), (1e6, 800)])
+def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch, beta, stiff):
+    # whatever share of its actions is stiff, a sir solve builds each table
+    # with one expm and holds within numbers(): without a parameter its two
+    # tables of h and h/2, with a large beta a table of every scale its
+    # squarings reach
+    params = {} if beta is None else {"beta": beta}
+    problem = builtin_problem("sir", **params).problem
+    instances, blocks = spy_on_builds(monkeypatch)
+    norms = []
+    call = BlockTriangularExpmv.__call__
+
+    def spy_call(self, P, W, c, y):
+        norms.append(np.abs(P).sum(axis=0).max())
+        return call(self, P, W, c, y)
+    monkeypatch.setattr(BlockTriangularExpmv, "__call__", spy_call)
     N, d = 20, problem.d
     solve(problem, N, 20, 3, 10.0)
     [action] = instances
-    assert len(action._tables) == len(blocks) == 2
-    held = owned_bytes(action._l21) + owned_bytes(action._l22) + sum(
-        owned_bytes(H) + sum(map(owned_bytes, squares)) for H, squares in action._tables.values())
-    building = blocks[-1].nbytes + 8 * expm_numbers(1, len(blocks[-1]))
-    assert held + building <= 8 * BlockTriangularExpmv.numbers(d * (N + 1), d)
+    assert sum(norm > 1.0 for norm in norms) == stiff
+    assert len(action._tables) == len(blocks)
+    assert (len(blocks) == 2) == (stiff == 0)
+    assert peak_bytes(action, blocks) <= 8 * BlockTriangularExpmv.numbers(d * (N + 1), d)
+
+
+def test_numbers_bounds_every_scale_the_cap_allows(monkeypatch):
+    # actions at c = h and h/2 of two step sizes whose ratio is no power of
+    # two, each at every ||P||_1 = 2^j the cap allows, reach the 2 x 54
+    # scales numbers() counts, each built once
+    N, d = 4, 3
+    lower = delay_rows(N, d)
+    _, blocks = spy_on_builds(monkeypatch)
+    action = BlockTriangularExpmv(lower, d)
+    y = np.linspace(1.0, 2.0, lower.shape[1])
+    for h in (0.05, 0.04625):
+        for c in (h, h / 2):
+            for j in range(53):
+                P = np.diag([-1.0, -0.5, 0.0]) * 2.0 ** j
+                assert np.isfinite(action(P, c * np.eye(d), c, y)).all()
+    assert len(action._tables) == len(blocks) == 2 * 54
+    assert peak_bytes(action, blocks) <= 8 * BlockTriangularExpmv.numbers(d * (N + 1), d)
 
 
 def test_structured_action_rejects_broken_invariant():
