@@ -380,14 +380,11 @@ def peak_bytes(action, blocks):
     return held + blocks[-1].nbytes + 8 * expm_numbers(1, len(blocks[-1]))
 
 
-@pytest.mark.parametrize("beta, stiff", [(None, 0), (30.0, 86), (1000.0, 413), (1e6, 800)])
-def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch, beta, stiff):
+def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch):
     # whatever share of its actions is stiff, a sir solve builds each table
     # with one expm and holds within numbers(): without a parameter its two
     # tables of h and h/2, with a large beta a table of every scale its
     # squarings reach
-    params = {} if beta is None else {"beta": beta}
-    problem = builtin_problem("sir", **params).problem
     instances, blocks = spy_on_builds(monkeypatch)
     norms = []
     call = BlockTriangularExpmv.__call__
@@ -396,13 +393,17 @@ def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch, beta, stiff):
         norms.append(np.abs(P).sum(axis=0).max())
         return call(self, P, W, c, y)
     monkeypatch.setattr(BlockTriangularExpmv, "__call__", spy_call)
-    N, d = 20, problem.d
-    solve(problem, N, 20, 3, 10.0)
-    [action] = instances
-    assert sum(norm > 1.0 for norm in norms) == stiff
-    assert len(action._tables) == len(blocks)
-    assert (len(blocks) == 2) == (stiff == 0)
-    assert peak_bytes(action, blocks) <= 8 * BlockTriangularExpmv.numbers(d * (N + 1), d)
+    for params, stiff in [({}, 0), ({"beta": 30.0}, 86), ({"beta": 1000.0}, 413),
+                          ({"beta": 1e6}, 800)]:
+        problem = builtin_problem("sir", **params).problem
+        N, d = 20, problem.d
+        instances.clear(), blocks.clear(), norms.clear()
+        solve(problem, N, 20, 3, 10.0)
+        [action] = instances
+        assert sum(norm > 1.0 for norm in norms) == stiff
+        assert len(action._tables) == len(blocks)
+        assert (len(blocks) == 2) == (stiff == 0)
+        assert peak_bytes(action, blocks) <= 8 * BlockTriangularExpmv.numbers(d * (N + 1), d)
 
 
 def test_numbers_bounds_every_scale_the_cap_allows(monkeypatch):
