@@ -117,6 +117,14 @@ def _coefficient(M, d: int, name: str) -> np.ndarray:
     return M
 
 
+def _raised(name: str, exc: ArithmeticError) -> ValueError:
+    """The ValueError, chained to ``exc``, that a coefficient's arithmetic
+    error (a division by zero, an overflow) fails with."""
+    failure = ValueError(f"coefficient {name} raised {type(exc).__name__}: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
 def _chunk_steps(n: int) -> int:
     """Linear steps one stacked expm takes at system size n (see CHUNK_BYTES)."""
     return max(1, CHUNK_BYTES // (TAYLOR_BLOCK * 8 * n * n))
@@ -163,8 +171,9 @@ class DiscretizedSystem:
         """A(t) and B(t) of a linear problem at each of ``times``, shape
         (len(times), 2, d, d), evaluated once each, in time order.
 
-        Of the coefficients that raise ValueError, are not d x d or have a
-        non-finite entry, the first in time order raises its ValueError.
+        Of the coefficients that raise ValueError or ArithmeticError, are
+        not d x d or have a non-finite entry, the first in time order raises
+        a ValueError: its own, or one naming the arithmetic error.
         """
         d, named = self.d, (("A", self.problem.A), ("B", self.problem.B))
         out = np.empty((len(times), 2, d, d))
@@ -179,6 +188,8 @@ class DiscretizedSystem:
                     k += 1
         except ValueError as exc:
             failure = exc
+        except ArithmeticError as exc:
+            failure = _raised(f"{name} at t = {t!r}", exc)
         # one finiteness check for all; a non-finite entry is an earlier
         # failure than ``failure``, and the check of its matrix alone raises it
         if not np.isfinite(flat[:k]).all():
@@ -228,14 +239,24 @@ class DiscretizedSystem:
         exponential that fails raises ValueError.  Quasilinear problems
         take one step per call on the d x d block A(x) alone, applying
         every exponential through one :class:`BlockTriangularExpmv` of the
-        constant rows.
+        constant rows; its provisional exponentials return only the
+        delayed block, on which the step's A, reading the last d entries
+        of what it is given, evaluates A(x) as it does on a state.  A
+        coefficient that raises ArithmeticError fails with a ValueError
+        naming it.
         """
         kind, orders = admissible_orders(self.problem)
         if order not in orders:
             raise ValueError(f"order {order} invalid for {kind} problems; admissible: {orders}")
         if kind == "quasilinear":
             d, expmv = self.d, BlockTriangularExpmv(self._lower, self.d)
-            A = lambda y: _coefficient(self.problem.A(y[-d:]), d, "A(x)")
+
+            def A(y):
+                try:
+                    M = self.problem.A(y[-d:])
+                except ArithmeticError as exc:
+                    raise _raised("A(x)", exc)
+                return _coefficient(M, d, "A(x)")
             return (lambda starts, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)[None]), 1
         A = TopRows(self.top_rows, self._lower)
         return (lambda starts, h, y: magnus_step(A, starts, h, y, order),

@@ -185,7 +185,7 @@ def example4_delayed_sir(alpha: float = 0.0, beta: float = 1.0,
         raise ValueError("history must be 'decreasing' or 'increasing'")
 
     def coeff(x):
-        infected = float(np.atleast_1d(x)[1])
+        infected = float(x[1])
         q = beta * infected / (1.0 + alpha * infected)
         return np.array([[-q, 0.0, 0.0],
                          [q, -gamma, 0.0],

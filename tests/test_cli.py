@@ -971,6 +971,18 @@ def test_a_norm_too_large_to_scale_fails_before_any_table(tmp_path, capsys, monk
                                 "2**52: too large to scale in interval 0, step 0"]
 
 
+def test_a_coefficient_dividing_by_zero_is_a_numerical_failure(tmp_path, capsys):
+    # alpha = 1 and I(-tau) = -1: the incidence q = beta I / (1 + alpha I)
+    # divides by zero at the first coefficient, which is one line, exit 1
+    out = tmp_path / "never.csv"
+    code, _, err = run_cli(["audit", "--problem", "sir", "--N", "4", "--M", "4", "--t-final", "2",
+                            "--param", "alpha=1", "--param", "i0=-1.5", "--out", str(out)],
+                           capsys)
+    assert code == 1 and not out.exists()
+    assert err.splitlines() == ["numerical failure: coefficient A(x) raised ZeroDivisionError: "
+                                "float division by zero in interval 0, step 0"]
+
+
 def test_closed_stdout_ends_the_run_quietly():
     # the reader stops after a few bytes, as `| head -1` does
     src = str(Path(ddemagnus.__file__).resolve().parents[1])

@@ -461,6 +461,35 @@ def test_nonfinite_quasilinear_coefficient_reports_location():
     assert "interval 1, step 2" in str(info.value)
 
 
+@pytest.mark.parametrize("A, error", [
+    (lambda t: np.array([[1.0 / (t - 0.375)]]), "ZeroDivisionError: float division by zero"),
+    (lambda t: np.array([[math.exp(1e3 if t >= 0.375 else 0.0)]]),
+     "OverflowError: math range error"),
+], ids=["zero division", "overflow"])
+def test_a_coefficient_raising_an_arithmetic_error_reports_location(A, error):
+    # order 2 at h = 0.25 samples A at step midpoints: t = 0.375 in step 1
+    prob = LinearDDEProblem(d=1, tau=1.0, A=A, B=lambda t: np.zeros((1, 1)),
+                            phi=lambda t: np.array([1.0]))
+    with pytest.raises(NumericalFailure) as info:
+        solve(prob, 4, 4, 2, 2.0)
+    assert (info.value.interval, info.value.step) == (0, 1)
+    assert str(info.value) == f"coefficient A at t = 0.375 raised {error} in interval 0, step 1"
+    assert isinstance(info.value.__cause__.__cause__, ArithmeticError)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_quasilinear_coefficient_raising_an_arithmetic_error_reports_location(order):
+    # the history i0 - 0.5 t gives I(-tau) = -1, so the saturated incidence
+    # 1 + alpha I of the first coefficient is zero
+    prob = builtin_problem("sir", alpha=1.0, i0=-1.5).problem
+    with pytest.raises(NumericalFailure) as info:
+        solve(prob, 4, 4, order, 2.0)
+    assert (info.value.interval, info.value.step) == (0, 0)
+    assert str(info.value) == ("coefficient A(x) raised ZeroDivisionError: float division by "
+                               "zero in interval 0, step 0")
+    assert isinstance(info.value.__cause__.__cause__, ZeroDivisionError)
+
+
 def test_nonfinite_t_final_is_rejected():
     bench = builtin_problem("example1")
     for t_final in (math.nan, math.inf):

@@ -7,7 +7,8 @@ from ddemagnus import (ChebyshevGrid, builtin_problem, discretize, expm,
                        nonlinear_magnus_step, solve)
 from ddemagnus import magnus_nonlinear
 from ddemagnus.linalg import expm_numbers
-from ddemagnus.magnus_nonlinear import _MAX_TERMS, BlockTriangularExpmv, _series_terms
+from ddemagnus.magnus_nonlinear import (_MAX_TERMS, BlockTriangularExpmv, _series_terms,
+                                        dense_expmv)
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -74,13 +75,21 @@ def delay_rows(N, d, tau=1.0):
 
 
 def dense(P, W, c, lower):
-    """The n x n matrix [[P, 0], [L21 W, c L22]] of the blocks P, W and c."""
+    """The n x n matrix [[P, 0], [L21 W, c L22]] of the blocks P, W and c,
+    W None standing for c I."""
     d = P.shape[0]
     M = np.zeros((lower.shape[1], lower.shape[1]))
     M[:d, :d] = P
-    M[d:, :d] = lower[:, :d] @ W
+    M[d:, :d] = lower[:, :d] @ (c * np.eye(d) if W is None else W)
     M[d:, d:] = c * lower[:, d:]
     return M
+
+
+def dense_action(P, W, c, y, delayed, lower):
+    """exp([[P, 0], [L21 W, c L22]]) y through the full exponential: its
+    last d entries when ``delayed`` asks for them alone."""
+    out = expm(dense(P, W, c, lower)) @ y
+    return out[-len(P):] if delayed else out
 
 
 def rel_err(got, ref):
@@ -91,23 +100,26 @@ def rel_err(got, ref):
 def test_intermediates_keep_delay_pattern(order):
     # a state-dependent evaluator with the discretized-delay pattern: the
     # structured action must accept every exponent the step builds and
-    # agree with the dense exponential on it, and each exponent's blocks,
-    # W and c among them, must give the matrix the dense scheme builds
-    # from the assembled matrices
+    # agree with the dense exponential on it (a stage on its delayed
+    # block, which alone it returns), and each exponent's blocks, W and c
+    # among them, must give the matrix the dense scheme builds from the
+    # assembled matrices
     rng = np.random.default_rng(order + 77)
     d, N = 2, 3
     lower = delay_rows(N, d)
     n = lower.shape[1]
     structured = BlockTriangularExpmv(lower, d)
-    seen, seen_dense = [], []
+    seen, seen_dense, requests = [], [], []
 
-    def expmv(P, W, c, y):
-        got = structured(P, W, c, y)
-        assert rel_err(got, expm(dense(P, W, c, lower)) @ y) <= 1e-13
+    def expmv(P, W, c, y, delayed=False):
+        got = structured(P, W, c, y, delayed)
+        assert got.shape == ((d,) if delayed else (n,))
+        assert rel_err(got, dense_action(P, W, c, y, delayed, lower)) <= 1e-13
         seen.append(dense(P, W, c, lower))
+        requests.append(delayed)
         return got
 
-    def dense_expmv(M, W, c, y):
+    def dense_expmv(M, W, c, y, delayed=False):
         seen_dense.append(M)
         return expm(M) @ y
 
@@ -124,6 +136,7 @@ def test_intermediates_keep_delay_pattern(order):
     out = nonlinear_magnus_step(top, 0.05, y0, order, expmv=expmv)
     assert np.isfinite(out).all()
     assert len(seen) == {2: 2, 3: 4}[order]
+    assert requests == {2: [True, False], 3: [True, True, True, False]}[order]
     ref = nonlinear_magnus_step(A, 0.05, y0, order, expmv=dense_expmv)
     assert len(seen_dense) == len(seen)
     for T, M in zip(seen, seen_dense):
@@ -195,14 +208,15 @@ def test_step_gives_the_bits_of_the_block_algebra(order):
         assert y.tobytes() == ref.tobytes()
 
 
-def record_actions(monkeypatch, lower):
-    """Route every structured action through a recorder of (dense T, y, result)."""
+def record_actions(monkeypatch):
+    """Route every structured action through a recorder of (blocks, y,
+    request, result)."""
     calls = []
     action = BlockTriangularExpmv.__call__
 
-    def recorded(self, P, W, c, y):
-        out = action(self, P, W, c, y)
-        calls.append((dense(P, W, c, lower), np.array(y), out))
+    def recorded(self, P, W, c, y, delayed=False):
+        out = action(self, P, W, c, y, delayed)
+        calls.append(((P, W, c), np.array(y), delayed, out))
         return out
     monkeypatch.setattr(BlockTriangularExpmv, "__call__", recorded)
     return calls
@@ -217,10 +231,12 @@ def record_actions(monkeypatch, lower):
 def test_structured_action_matches_dense_on_solve_exponents(monkeypatch, name, N, M,
                                                             order, t_final):
     problem = builtin_problem(name).problem
-    calls = record_actions(monkeypatch, delay_rows(N, problem.d, problem.tau))
+    calls = record_actions(monkeypatch)
     solve(problem, N, M, order, t_final)
     assert len(calls) >= {2: 2, 3: 4}[order] * M * int(t_final / problem.tau)
-    worst = max(rel_err(out, expm(T) @ y) for T, y, out in calls)
+    lower = delay_rows(N, problem.d, problem.tau)
+    worst = max(rel_err(out, dense_action(*blocks, y, delayed, lower))
+                for blocks, y, delayed, out in calls)
     assert worst <= 1e-13
 
 
@@ -240,6 +256,60 @@ def norm_with_terms(K):
 def test_norms_with_terms_cover_every_series_length():
     assert [_series_terms(norm_with_terms(K)) for K in range(1, _MAX_TERMS + 1)] == \
         list(range(1, _MAX_TERMS + 1))
+
+
+@pytest.mark.parametrize("norm", [30.0, 1e4] + [
+    pytest.param(norm_with_terms(K), id=f"K={K}") for K in range(1, _MAX_TERMS + 1)])
+def test_delayed_block_is_the_last_of_the_full_action(norm):
+    # a stage asks for the last d entries of exp(T) y alone: for every
+    # series length at m = 1 and on the stiff branch they are the full
+    # action's bit for bit, with W = c I passed as None and with a general W
+    rng = np.random.default_rng(int(norm * 1000) % 2 ** 32)
+    d, h = 3, 0.05
+    lower = delay_rows(20, d)
+    P = population_matrix(rng, d)
+    P *= norm / np.abs(P).sum(axis=0).max()
+    W = h * (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
+    y = rng.standard_normal(lower.shape[1])
+    action = BlockTriangularExpmv(lower, d)
+    for c in (h, h / 2):
+        full = action(P, c * np.eye(d), c, y)
+        assert action(P, None, c, y).tobytes() == full.tobytes()
+        assert action(P, None, c, y, delayed=True).tobytes() == full[-d:].tobytes()
+        assert action(P, W, c, y, delayed=True).tobytes() == action(P, W, c, y)[-d:].tobytes()
+
+
+def test_dense_action_returns_the_whole_state_whatever_is_asked():
+    rng = np.random.default_rng(5)
+    M, y = 0.3 * rng.standard_normal((4, 4)), rng.standard_normal(4)
+    full = expm(M) @ y
+    for W in (None, np.eye(2)):
+        assert dense_expmv(M, W, 1.0, y, delayed=True).tobytes() == full.tobytes()
+        assert dense_expmv(M, W, 1.0, y).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("name, params, N, order, t_final", [
+    ("sir", {}, 20, 3, 10.0),
+    ("sir", {}, 20, 2, 10.0),
+    ("sir", {"beta": 30.0}, 20, 3, 10.0),
+    ("sir", {}, 20, 3, 10.37),
+    ("nonlinear-scalar", {}, 16, 3, 6.0),
+    ("nonlinear-scalar", {}, 16, 2, 6.0),
+], ids=["sir-3", "sir-2", "sir-beta30", "sir-10.37", "scalar-3", "scalar-2"])
+def test_delayed_stages_give_the_bits_of_full_stages(monkeypatch, name, params, N, order,
+                                                     t_final):
+    # every stored state equals, bit for bit, that of the same solve with
+    # each stage taken as the full action on W = c I and then sliced
+    problem = builtin_problem(name, **params).problem
+    fast = solve(problem, N, N, order, t_final, store_steps=True)
+    call = BlockTriangularExpmv.__call__
+
+    def full(self, P, W, c, y, delayed=False):
+        out = call(self, P, c * np.eye(self.d) if W is None else W, c, y)
+        return out[-self.d:] if delayed else out
+    monkeypatch.setattr(BlockTriangularExpmv, "__call__", full)
+    slow = solve(problem, N, N, order, t_final, store_steps=True)
+    assert fast.states.tobytes() == slow.states.tobytes()
 
 
 def shifted_scipy_action(linalg, P, W, c, lower, y):
@@ -348,7 +418,8 @@ def test_trailing_partial_interval_builds_its_own_tables(monkeypatch):
     assert sorted(built) == pytest.approx([0.023125, 0.025, 0.04625, 0.05])
     lower = delay_rows(20, problem.d, problem.tau)
     monkeypatch.setattr(BlockTriangularExpmv, "__call__",
-                        lambda self, P, W, c, y: expm(dense(P, W, c, lower)) @ y)
+                        lambda self, P, W, c, y, delayed=False:
+                        dense_action(P, W, c, y, delayed, lower))
     dense_run = solve(problem, 20, 20, 3, 10.37)
     for got, ref in zip(fast.states, dense_run.states):
         assert rel_err(got, ref) <= 1e-12
@@ -389,9 +460,9 @@ def test_numbers_bounds_what_a_sir_solve_holds(monkeypatch):
     norms = []
     call = BlockTriangularExpmv.__call__
 
-    def spy_call(self, P, W, c, y):
+    def spy_call(self, P, W, c, y, delayed=False):
         norms.append(np.abs(P).sum(axis=0).max())
-        return call(self, P, W, c, y)
+        return call(self, P, W, c, y, delayed)
     monkeypatch.setattr(BlockTriangularExpmv, "__call__", spy_call)
     for params, stiff in [({}, 0), ({"beta": 30.0}, 86), ({"beta": 1000.0}, 413),
                           ({"beta": 1e6}, 800)]:
