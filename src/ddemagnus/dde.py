@@ -13,6 +13,7 @@ the solution loses smoothness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -55,6 +56,15 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive" if value <= 0 else f"{name} must be finite")
 
 
+def _check_problem(problem) -> None:
+    """Raise ValueError unless d is an integer >= 1 and tau positive and finite."""
+    if not isinstance(problem.d, numbers.Integral):
+        raise ValueError(f"state dimension d must be an integer, got {problem.d!r}")
+    if problem.d < 1:
+        raise ValueError("state dimension d must be >= 1")
+    _check_positive_finite("delay tau", problem.tau)
+
+
 @dataclass
 class LinearDDEProblem:
     """x'(t) = A(t) x(t) + B(t) x(t - tau), x = phi on [-tau, 0].
@@ -77,9 +87,7 @@ class LinearDDEProblem:
     period: Optional[float] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("state dimension d must be >= 1")
-        _check_positive_finite("delay tau", self.tau)
+        _check_problem(self)
         if self.period is not None:
             _check_positive_finite("period", self.period)
 
@@ -99,30 +107,27 @@ class QuasilinearDDEProblem:
     phi: Callable[[float], np.ndarray]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("state dimension d must be >= 1")
-        _check_positive_finite("delay tau", self.tau)
+        _check_problem(self)
 
 
 DDEProblem = Union[LinearDDEProblem, QuasilinearDDEProblem]
 
 
-def _coefficient(M, d: int, name: str) -> np.ndarray:
-    """The value M of coefficient ``name``, checked to be a finite d x d matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (d, d):
-        raise ValueError(f"coefficient {name} returned shape {M.shape}, expected {(d, d)}")
-    if not np.isfinite(M).all():
-        raise ValueError(f"coefficient {name} returned non-finite entries")
-    return M
-
-
-def _raised(name: str, exc: ArithmeticError) -> ValueError:
-    """The ValueError, chained to ``exc``, that a coefficient's arithmetic
-    error (a division by zero, an overflow) fails with."""
-    failure = ValueError(f"coefficient {name} raised {type(exc).__name__}: {exc}")
-    failure.__cause__ = exc
-    return failure
+def _checked(func, arg, shape: tuple, name: str, t: Optional[float] = None) -> np.ndarray:
+    """func(arg), a function the problem supplies, as a finite float array of
+    ``shape``; otherwise a ValueError naming ``name``, chained to the call's
+    ArithmeticError (naming ``t`` too, where given) if it raised one."""
+    try:
+        value = func(arg)
+    except ArithmeticError as exc:
+        at = "" if t is None else f" at t = {t!r}"
+        raise ValueError(f"{name}{at} raised {type(exc).__name__}: {exc}") from exc
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} returned non-finite entries")
+    return value
 
 
 def _chunk_steps(n: int) -> int:
@@ -171,32 +176,31 @@ class DiscretizedSystem:
         """A(t) and B(t) of a linear problem at each of ``times``, shape
         (len(times), 2, d, d), evaluated once each, in time order.
 
-        Of the coefficients that raise ValueError or ArithmeticError, are
-        not d x d or have a non-finite entry, the first in time order raises
-        a ValueError: its own, or one naming the arithmetic error.
+        The first of them in time order that raises ValueError or
+        ArithmeticError, is not d x d or has a non-finite entry is evaluated
+        again through :func:`_checked`, whose ValueError it raises.
         """
-        d, named = self.d, (("A", self.problem.A), ("B", self.problem.B))
+        d, funcs = self.d, (self.problem.A, self.problem.B)
         out = np.empty((len(times), 2, d, d))
         flat = out.reshape(-1, d, d)
-        k, failure = 0, None
+        k = 0
         try:
             for t in times:
-                for name, func in named:
+                for func in funcs:
                     M = np.asarray(func(t), dtype=float)
-                    # a wrong shape raises from the check of M alone
-                    flat[k] = M if M.shape == (d, d) else _coefficient(M, d, name)
+                    if M.shape != (d, d):
+                        raise ValueError
+                    flat[k] = M
                     k += 1
-        except ValueError as exc:
-            failure = exc
-        except ArithmeticError as exc:
-            failure = _raised(f"{name} at t = {t!r}", exc)
-        # one finiteness check for all; a non-finite entry is an earlier
-        # failure than ``failure``, and the check of its matrix alone raises it
+        except (ValueError, ArithmeticError):
+            pass   # evaluation k failed
+        # one finiteness check for all; a non-finite entry is an earlier failure
         if not np.isfinite(flat[:k]).all():
             k = int(np.argmin(np.isfinite(flat[:k]).all(axis=(1, 2))))
-            _coefficient(flat[k], d, named[k % 2][0])
-        if failure is not None:
-            raise failure
+        if k < len(flat):
+            t, name = times[k // 2], f"coefficient {'AB'[k % 2]}"
+            _checked(funcs[k % 2], t, (d, d), name, t)
+            raise ValueError(f"{name} at t = {t!r} failed, then passed when evaluated again")
         return out
 
     def top_rows(self, times) -> np.ndarray:
@@ -222,7 +226,7 @@ class DiscretizedSystem:
         if state.shape != (n,):
             raise ValueError(f"state has shape {state.shape}, expected ({n},)")
         out = np.zeros((d, n))
-        out[:, :d] = _coefficient(self.problem.A(state[n - d:]), d, "A(x)")
+        out[:, :d] = _checked(self.problem.A, state[n - d:], (d, d), "coefficient A(x)")
         return np.concatenate((out, self._lower))
 
     def stepper(self, order: int):
@@ -241,9 +245,8 @@ class DiscretizedSystem:
         every exponential through one :class:`BlockTriangularExpmv` of the
         constant rows; its provisional exponentials return only the
         delayed block, on which the step's A, reading the last d entries
-        of what it is given, evaluates A(x) as it does on a state.  A
-        coefficient that raises ArithmeticError fails with a ValueError
-        naming it.
+        of what it is given, evaluates A(x) as it does on a state; a
+        coefficient it rejects (see :func:`_checked`) raises ValueError.
         """
         kind, orders = admissible_orders(self.problem)
         if order not in orders:
@@ -252,11 +255,7 @@ class DiscretizedSystem:
             d, expmv = self.d, BlockTriangularExpmv(self._lower, self.d)
 
             def A(y):
-                try:
-                    M = self.problem.A(y[-d:])
-                except ArithmeticError as exc:
-                    raise _raised("A(x)", exc)
-                return _coefficient(M, d, "A(x)")
+                return _checked(self.problem.A, y[-d:], (d, d), "coefficient A(x)")
             return (lambda starts, h, y: nonlinear_magnus_step(A, h, y, order, expmv=expmv)[None]), 1
         A = TopRows(self.top_rows, self._lower)
         return (lambda starts, h, y: magnus_step(A, starts, h, y, order),
@@ -280,12 +279,11 @@ def discretize(problem: DDEProblem, N: int) -> DiscretizedSystem:
     """Build the grid for the problem's delay and sample phi at the shifted nodes."""
     grid = ChebyshevGrid.build(N, problem.tau)
     d = problem.d
-    blocks = []
-    for theta in grid.nodes_shifted:
-        value = np.asarray(problem.phi(theta), dtype=float).reshape(d)
-        if not np.isfinite(value).all():
-            raise ValueError(f"initial function returned a non-finite value at t = {theta}")
-        blocks.append(value)
+    # raveled, so a scalar phi serves for d = 1; before stepping, so each
+    # node names its time, where a coefficient's failure names its step
+    blocks = [_checked(lambda t: np.ravel(problem.phi(t)), theta, (d,),
+                       f"initial function at t = {float(theta)!r}")
+              for theta in grid.nodes_shifted]
     return DiscretizedSystem(problem, grid, np.concatenate(blocks))
 
 
@@ -536,6 +534,8 @@ def _prepared(problem: DDEProblem, N: int, M: int, t_final: float, store_steps: 
         state = np.asarray(initial_state, dtype=float).copy()
         if state.shape != (system.big_dim,):
             raise ValueError(f"initial_state must have shape ({system.big_dim},)")
+        if not np.isfinite(state).all():
+            raise ValueError("initial_state must be finite")
     return system, g0 * tau, state, plan(), windows, intervals
 
 

@@ -17,6 +17,8 @@ from ddemagnus import (ChebyshevGrid, DiscretizedSystem, LinearDDEProblem,
                        MATHIEU_CRITICAL_B, MATHIEU_REFERENCE_MULTIPLIER)
 from ddemagnus.cli import main as cli_main
 
+from collocation import final_window
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -172,8 +174,13 @@ def test_criterion_10_sir_accuracy(sir_default):
     x = run.endpoint_values()
     x_ref = reference.endpoint_values()
     eps_r = np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)
-    report(10, "SIR accuracy", 1e-11 <= eps_r <= 1e-7,
-           f"relative error {eps_r:.3e} vs 4x-refined reference")
+    # an independent reference: collocation of each delay interval, exact
+    # to round-off at N = 24 (tests/test_collocation_reference.py)
+    x_col = final_window(sir_default.problem, 24, 4.0)[:3]
+    eps_c = np.linalg.norm(x - x_col) / np.linalg.norm(x_col)
+    report(10, "SIR accuracy", 1e-11 <= eps_r <= 1e-7 and eps_c <= 1e-8,
+           f"relative error {eps_r:.3e} vs 4x-refined reference, {eps_c:.3e} vs "
+           "collocation")
 
 
 def test_criterion_11_sir_conservation_and_positivity(sir_default):

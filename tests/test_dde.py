@@ -223,9 +223,23 @@ def _sir_matrix_of_state(state):
     return system.matrix_of_state(state)
 
 
-def _resume(t_start, shape=(9,)):
+def _resume(t_start, shape=(9,), value=1.0):
     return solve(scalar_linear(0.5, -1.0, 1.0), 8, 4, 2, 3.0, t_start=t_start,
-                 initial_state=np.ones(shape))
+                 initial_state=np.full(shape, value))
+
+
+def _reciprocal_matrix_of_state():
+    # A(x) = 1/x on a zero history
+    problem = QuasilinearDDEProblem(d=1, tau=1.0, A=lambda x: np.array([[1.0 / float(x[0])]]),
+                                    phi=lambda t: np.zeros(1))
+    system = discretize(problem, 4)
+    return system.matrix_of_state(system.phi_vector)
+
+
+def _reciprocal_phi():
+    # phi = 1/t at the node t = 0
+    return solve(scalar_linear(1.0, -1.0, 1.0, phi=lambda t: np.array([1.0 / float(t)])),
+                 4, 4, 2, 2.0)
 
 
 # (input check, a call it rejects, the start of its message)
@@ -234,15 +248,29 @@ _REJECTED_INPUTS = [
      "state dimension d must be >= 1"),
     ("quasilinear d", lambda: QuasilinearDDEProblem(d=0, tau=1.0, A=np.eye, phi=np.ones),
      "state dimension d must be >= 1"),
+    ("non-integer d", lambda: LinearDDEProblem(d=1.5, tau=1.0, A=np.eye, B=np.eye, phi=np.ones),
+     "state dimension d must be an integer, got 1.5"),
+    ("non-integer quasilinear d",
+     lambda: QuasilinearDDEProblem(d=2.0, tau=1.0, A=np.eye, phi=np.ones),
+     "state dimension d must be an integer, got 2.0"),
+    # the first node past -0.5 of the five at N = 4 is -tau (2 + sqrt 2) / 4
     ("initial function", lambda: discretize(
         scalar_linear(1.0, -1.0, 1.0, phi=lambda t: np.array([np.nan if t < -0.5 else 1.0])), 4),
-     "initial function returned a non-finite value"),
+     r"initial function at t = -0\.853553390593\d* returned non-finite entries"),
+    ("initial function raising", _reciprocal_phi,
+     r"initial function at t = 0\.0 raised ZeroDivisionError: float division by zero"),
+    ("initial function shape", lambda: discretize(
+        scalar_linear(1.0, -1.0, 1.0, phi=lambda t: np.array([1.0, 2.0])), 4),
+     r"initial function at t = 0\.0 returned shape \(2,\), expected \(1,\)"),
     ("t_start between breaking points", lambda: _resume(0.5), "t_start must be a nonnegative"),
     ("negative t_start", lambda: _resume(-1.0), "t_start must be a nonnegative"),
     ("initial_state shape", lambda: _resume(1.0, (8,)), "initial_state must have shape"),
     ("initial_state rank", lambda: _resume(1.0, (9, 1)), "initial_state must have shape"),
+    ("initial_state not finite", lambda: _resume(1.0, value=np.nan), "initial_state must be finite"),
     ("short state", lambda: _sir_matrix_of_state(np.ones(14)), "state has shape"),
     ("matrix state", lambda: _sir_matrix_of_state(np.ones((15, 2))), "state has shape"),
+    ("A(x) raising", _reciprocal_matrix_of_state,
+     r"coefficient A\(x\) raised ZeroDivisionError: float division by zero"),
 ]
 
 
@@ -251,6 +279,14 @@ _REJECTED_INPUTS = [
 def test_input_checks_reject_bad_problems_and_states(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build", [_reciprocal_phi, _reciprocal_matrix_of_state],
+                         ids=["initial function", "A(x)"])
+def test_an_arithmetic_error_of_a_supplied_function_is_chained(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def nan_after(t_bad, period=None):
@@ -475,6 +511,22 @@ def test_a_coefficient_raising_an_arithmetic_error_reports_location(A, error):
     assert (info.value.interval, info.value.step) == (0, 1)
     assert str(info.value) == f"coefficient A at t = 0.375 raised {error} in interval 0, step 1"
     assert isinstance(info.value.__cause__.__cause__, ArithmeticError)
+
+
+def test_a_coefficient_failing_only_once_still_fails():
+    # the failing evaluation is taken again through the check, which passes
+    # it: the coefficients are not returned with that entry unset
+    failed = []
+
+    def A(t):
+        if t == 0.5 and not failed:
+            failed.append(t)
+            raise ZeroDivisionError("once")
+        return np.array([[0.1]])
+    system = discretize(LinearDDEProblem(d=1, tau=1.0, A=A, B=lambda t: np.array([[-1.0]]),
+                                         phi=lambda t: np.array([1.0])), 4)
+    with pytest.raises(ValueError, match=r"^coefficient A at t = 0\.5 failed, then passed"):
+        system.coefficients([0.25, 0.5, 0.75])
 
 
 @pytest.mark.parametrize("order", [2, 3])
